@@ -42,7 +42,7 @@ from .model import (
     equilibrium,
     plant_derivatives,
 )
-from .plotting import emit_plot_script, write_plot_script
+from .plotting import emit_plot_script
 from .scenario_io import (
     BUNDLED_SCENARIOS,
     bundled_scenario_text,
@@ -52,16 +52,16 @@ from .scenario_io import (
 )
 from .sim import (
     CCM_TOL,
+    MAX_STEPS,
     LoadStep,
     Scenario,
     TraceRecord,
     active_load,
     rk4_step,
-    rk4_update,
     run,
     validate_scenario,
     with_initial_state,
 )
-from .trace_csv import CSV_COLUMNS, format_trace_csv, write_trace_csv
+from .trace_csv import CSV_COLUMNS, format_trace_csv
 
 __version__ = "0.1.0"

@@ -63,10 +63,3 @@ def emit_plot_script(csv_path: str, script_name: str = "trace.gp") -> str:
                 f"(found: {', '.join(columns)})"
             )
     return _TEMPLATE.format(csv_path=csv_path, script_name=script_name)
-
-
-def write_plot_script(csv_path: str, out_path: str) -> None:
-    """Emit the plot script for csv_path into out_path."""
-    script = emit_plot_script(csv_path, script_name=out_path)
-    with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(script)

@@ -14,7 +14,7 @@ import math
 from importlib import resources
 
 from .control import ControlGains
-from .errors import ParameterError, ParbuckError, ScenarioFormatError
+from .errors import DegenerateConfigError, ParameterError, ParbuckError, ScenarioFormatError
 from .model import ConverterParams, PlantState, equilibrium
 from .sim import LoadStep, Scenario, validate_scenario
 
@@ -194,7 +194,7 @@ def parse_scenario(text: str) -> Scenario:
     )
     try:
         validate_scenario(scenario)
-    except ParameterError as exc:
+    except (ParameterError, DegenerateConfigError) as exc:
         raise ScenarioFormatError(str(exc)) from exc
     return scenario
 

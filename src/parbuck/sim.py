@@ -12,19 +12,17 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .control import ControlGains, controller_step
-from .errors import (
-    CcmViolationError,
-    DivergenceError,
-    NumericDomainError,
-    ParameterError,
-    ScheduleError,
-)
-from .model import ConverterParams, PlantState, plant_derivatives
+from .control import ControlGains, controller_step, coupling_constant
+from .errors import CcmViolationError, DivergenceError, ParameterError, ScheduleError
+from .model import ConverterParams, PlantState
 
 # Inductor current below -CCM_TOL amperes counts as a genuine loss of
 # continuous conduction rather than integration noise.
 CCM_TOL = 1e-9
+
+# Most integration steps, ceil(t_end/dt), a scenario may ask for: at a few
+# microseconds per step that is minutes of work, not days.
+MAX_STEPS = 10**8
 
 _STATE_FIELDS = ("iL1", "iL2", "Vo", "d2")
 
@@ -80,23 +78,25 @@ class TraceRecord:
     sat1: bool
     sat2: bool
 
-    @property
-    def per_unit_diff(self) -> float:
-        """Alias for the per-unit sharing error e2."""
-        return self.e2
-
 
 def validate_scenario(scenario: Scenario) -> None:
     """Check cross-field invariants; raises ParameterError on violation.
 
     Parameter and gain objects validate themselves on construction, so this
-    covers only the relations between them.
+    covers only the relations between them. A converter pair the sharing law
+    cannot tell apart raises DegenerateConfigError.
     """
     s = scenario
     if not math.isfinite(s.dt) or s.dt <= 0.0:
         raise ParameterError(f"dt must be positive, got {s.dt!r}")
     if not math.isfinite(s.t_end) or s.t_end < 0.0:
         raise ParameterError(f"t_end must be nonnegative, got {s.t_end!r}")
+    # For an integer bound, ceil(t_end/dt) > MAX_STEPS iff t_end/dt > MAX_STEPS;
+    # comparing the quotient itself also covers its overflow to inf.
+    if s.t_end / s.dt > MAX_STEPS:
+        raise ParameterError(
+            f"t_end/dt = {s.t_end / s.dt:.6g} steps exceeds the limit of {MAX_STEPS} steps"
+        )
     if s.record_every < 1:
         raise ParameterError(f"record_every must be >= 1, got {s.record_every!r}")
     if not math.isfinite(s.Vref) or s.Vref <= 0.0:
@@ -114,6 +114,8 @@ def validate_scenario(scenario: Scenario) -> None:
         )
     prev = -math.inf
     for entry in s.load_schedule:
+        if not math.isfinite(entry.time):
+            raise ParameterError(f"load entry time must be finite, got {entry.time!r}")
         if not math.isfinite(entry.R) or entry.R <= 0.0:
             raise ParameterError(f"load resistance must be positive, got {entry.R!r}")
         if entry.time <= prev:
@@ -121,23 +123,7 @@ def validate_scenario(scenario: Scenario) -> None:
         prev = entry.time
     if not s.initial_state.is_finite():
         raise ParameterError(f"initial state must be finite, got {s.initial_state}")
-
-
-def rk4_update(f, y: tuple, h: float) -> tuple:
-    """One classical 4th-order Runge-Kutta update for an autonomous system.
-
-    ``f`` maps a state tuple to a derivative tuple. rk4_step is this same
-    scheme unrolled over the plant state; a test pins their equality.
-    """
-    k1 = f(y)
-    k2 = f(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
-    k3 = f(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
-    k4 = f(tuple(yi + h * ki for yi, ki in zip(y, k3)))
-    sixth = h / 6.0
-    return tuple(
-        yi + sixth * (a + 2.0 * (b + c) + d)
-        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
-    )
+    coupling_constant(s.p1, s.p2, s.gains.x_guard)
 
 
 def active_load(load_schedule: tuple[LoadStep, ...], t: float) -> float:
@@ -156,6 +142,89 @@ def active_load(load_schedule: tuple[LoadStep, ...], t: float) -> float:
     return R
 
 
+def _compile(scenario: Scenario):
+    """Compile the closed loop of one scenario into a fixed-step RK4 kernel.
+
+    Returns ``step_at(R)``, which gives the step function at load ``R``:
+    ``step(t, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)``. The step
+    runs over four floats with the scenario's constants bound once, and
+    evaluates controller_step followed by plant_derivatives expression by
+    expression, in their order and with their operands, so it reproduces
+    them bit for bit. Only subexpressions that those functions compute from
+    the same operands in the same order are shared.
+
+    Non-finiteness is checked once per step, on the new state: every stage
+    slope enters the final sum linearly, so a finite new state means every
+    stage was finite. d2 is checked before it is clamped to [0, 1], since
+    the clamp would absorb an inf; sat2 reports whether the clamp changed it.
+    Raises DivergenceError at t + h naming the first non-finite component.
+    """
+    p1, p2, gains = scenario.p1, scenario.p2, scenario.gains
+    L1, Vin1, Imax1 = p1.L, p1.Vin, p1.Imax
+    L2, Vin2, Imax2 = p2.L, p2.Vin, p2.Imax
+    k1, k2, duty_min, duty_max = gains.k1, gains.k2, gains.duty_min, gains.duty_max
+    Vref = scenario.Vref
+    Ctot = p1.C + p2.C
+    IL1 = Imax1 * L1
+    IL2 = Imax2 * L2
+    IL2_Vin2 = IL2 / Vin2
+    X = coupling_constant(p1, p2, gains.x_guard)
+    isfinite = math.isfinite
+
+    def step_at(R: float):
+        Vref_R = Vref / R
+
+        def f(iL1, iL2, Vo, d2):
+            # controller_step, then plant_derivatives. The plant's diL2 and
+            # dVo are the controller's diL2_dt and vo_dot: same operands.
+            Vo_R = Vo / R
+            e = Vref - Vo
+            e_dot = (Vo_R - iL1 - iL2) / Ctot
+            diL2 = (d2 * Vin2 - Vo) / L2
+            i_tilde = Vref_R - iL2 + k1 * e - iL1
+            w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
+            d1 = (L1 * w + Vo) / Vin1
+            if duty_min > d1:
+                d1 = duty_min
+            if duty_max < d1:
+                d1 = duty_max
+            e2 = iL1 / Imax1 - iL2 / Imax2
+            share1 = d1 * Vin1 / IL1
+            share2 = d2 * Vin2 / IL2
+            v_tilde = (-share1 + share2 - k2 * e2) / X - Vo
+            dVo = (iL1 + iL2 - Vo_R) / Ctot
+            e2_dot = share1 - share2 + Vo * X
+            d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
+            return (d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot
+
+        def step(t, h, iL1, iL2, Vo, d2):
+            half = 0.5 * h
+            a1, b1, c1, q1 = f(iL1, iL2, Vo, d2)
+            a2, b2, c2, q2 = f(iL1 + half * a1, iL2 + half * b1, Vo + half * c1, d2 + half * q1)
+            a3, b3, c3, q3 = f(iL1 + half * a2, iL2 + half * b2, Vo + half * c2, d2 + half * q2)
+            a4, b4, c4, q4 = f(iL1 + h * a3, iL2 + h * b3, Vo + h * c3, d2 + h * q3)
+            sixth = h / 6.0
+            d2 = d2 + sixth * (q1 + 2.0 * (q2 + q3) + q4)
+            if not isfinite(d2):
+                raise DivergenceError(t + h, "d2")
+            iL1 = iL1 + sixth * (a1 + 2.0 * (a2 + a3) + a4)
+            iL2 = iL2 + sixth * (b1 + 2.0 * (b2 + b3) + b4)
+            Vo = Vo + sixth * (c1 + 2.0 * (c2 + c3) + c4)
+            if not (isfinite(iL1) and isfinite(iL2) and isfinite(Vo)):
+                for name, value in (("iL1", iL1), ("iL2", iL2), ("Vo", Vo)):
+                    if not isfinite(value):
+                        raise DivergenceError(t + h, name)
+            if d2 < 0.0:
+                return iL1, iL2, Vo, 0.0, True
+            if d2 > 1.0:
+                return iL1, iL2, Vo, 1.0, True
+            return iL1, iL2, Vo, d2, False
+
+        return step
+
+    return step_at
+
+
 def rk4_step(
     state: PlantState,
     t: float,
@@ -168,66 +237,15 @@ def rk4_step(
     at the step's start time and held for all stages; run() shortens steps so
     load events always land on step boundaries. d2 is clamped to [0, 1] after
     the step; the returned flag reports whether the clamp changed it.
-    Raises DivergenceError when the new state is non-finite.
+    Raises DivergenceError when the state or the new state is non-finite.
+    This is the kernel run() uses, compiled for a single step.
     """
-    scn = scenario
-    R = active_load(scn.load_schedule, t)
-
-    def f(s: PlantState):
-        cmd = controller_step(s, scn.Vref, R, scn.p1, scn.p2, scn.gains)
-        return plant_derivatives(s, scn.p1, scn.p2, R, cmd.d1, cmd.d2_dot)
-
-    h = dt
-    s2 = s3 = s4 = None
-    try:
-        k1 = f(state)
-        s2 = PlantState(
-            state.iL1 + 0.5 * h * k1.diL1,
-            state.iL2 + 0.5 * h * k1.diL2,
-            state.Vo + 0.5 * h * k1.dVo,
-            state.d2 + 0.5 * h * k1.dd2,
-        )
-        k2 = f(s2)
-        s3 = PlantState(
-            state.iL1 + 0.5 * h * k2.diL1,
-            state.iL2 + 0.5 * h * k2.diL2,
-            state.Vo + 0.5 * h * k2.dVo,
-            state.d2 + 0.5 * h * k2.dd2,
-        )
-        k3 = f(s3)
-        s4 = PlantState(
-            state.iL1 + h * k3.diL1,
-            state.iL2 + h * k3.diL2,
-            state.Vo + h * k3.dVo,
-            state.d2 + h * k3.dd2,
-        )
-        k4 = f(s4)
-    except NumericDomainError:
-        # A stage went non-finite mid-step; name the first bad component.
-        for stage in (state, s2, s3, s4):
-            if stage is None:
-                continue
-            for name in _STATE_FIELDS:
-                if not math.isfinite(getattr(stage, name)):
-                    raise DivergenceError(t + dt, name) from None
-        raise DivergenceError(t + dt, "duty command") from None
-    sixth = h / 6.0
-    new_d2 = state.d2 + sixth * (k1.dd2 + 2.0 * (k2.dd2 + k3.dd2) + k4.dd2)
-    if not math.isfinite(new_d2):
-        # Checked before clamping: the clamp would silently absorb an inf.
-        raise DivergenceError(t + dt, "d2")
-    clamped_d2 = min(max(new_d2, 0.0), 1.0)
-    new = PlantState(
-        state.iL1 + sixth * (k1.diL1 + 2.0 * (k2.diL1 + k3.diL1) + k4.diL1),
-        state.iL2 + sixth * (k1.diL2 + 2.0 * (k2.diL2 + k3.diL2) + k4.diL2),
-        state.Vo + sixth * (k1.dVo + 2.0 * (k2.dVo + k3.dVo) + k4.dVo),
-        clamped_d2,
-    )
-    if not new.is_finite():
-        for name in _STATE_FIELDS:
-            if not math.isfinite(getattr(new, name)):
-                raise DivergenceError(t + dt, name)
-    return new, clamped_d2 != new_d2
+    for name in _STATE_FIELDS:
+        if not math.isfinite(getattr(state, name)):
+            raise DivergenceError(t + dt, name)
+    step = _compile(scenario)(active_load(scenario.load_schedule, t))
+    *new, sat2 = step(t, dt, state.iL1, state.iL2, state.Vo, state.d2)
+    return PlantState(*new), sat2
 
 
 def _make_record(
@@ -269,49 +287,58 @@ def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord
     if every < 1:
         raise ParameterError(f"record_every must be >= 1, got {every!r}")
 
-    events = [e.time for e in scenario.load_schedule if 0.0 < e.time < scenario.t_end]
-    boundaries = events + [scenario.t_end]
+    # Validation makes the schedule start at t=0 and strictly increase, so the
+    # entries before t_end split the run into segments of constant load.
+    schedule = scenario.load_schedule
+    events = [e for e in schedule[1:] if e.time < scenario.t_end]
+    ends = [e.time for e in events] + [scenario.t_end]
+    loads = [schedule[0].R] + [e.R for e in events]
 
     state = scenario.initial_state
-    records = [_make_record(0.0, state, scenario.load_schedule[0].R, False, scenario)]
+    records = [_make_record(0.0, state, loads[0], False, scenario)]
     if scenario.t_end == 0.0:
         return records
 
+    step_at = _compile(scenario)
+    dt = scenario.dt
+    ccm_floor = -CCM_TOL
+    iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
+    sat2 = False
     step_count = 0
     seg_start = 0.0
-    for seg_end in boundaries:
-        R = active_load(scenario.load_schedule, seg_start)
+    for seg_end, R, R_next in zip(ends, loads, loads[1:] + [None]):
+        step = step_at(R)
         seg_len = seg_end - seg_start
-        n_full = int(math.floor(seg_len / scenario.dt + 1e-9))
-        remainder = seg_len - n_full * scenario.dt
-        if remainder <= scenario.dt * 1e-9:
+        n_full = int(math.floor(seg_len / dt + 1e-9))
+        remainder = seg_len - n_full * dt
+        if remainder <= dt * 1e-9:
             remainder = 0.0
             n_sub = n_full
         else:
             n_sub = n_full + 1
         for i in range(1, n_sub + 1):
             if i <= n_full:
-                t_prev = seg_start + (i - 1) * scenario.dt
-                h = scenario.dt
-                t_next = seg_end if i == n_sub else seg_start + i * scenario.dt
+                t_prev = seg_start + (i - 1) * dt
+                h = dt
+                t_next = seg_end if i == n_sub else seg_start + i * dt
             else:
-                t_prev = seg_start + n_full * scenario.dt
+                t_prev = seg_start + n_full * dt
                 h = remainder
                 t_next = seg_end
-            state, sat2 = rk4_step(state, t_prev, h, scenario)
+            iL1, iL2, Vo, d2, sat2 = step(t_prev, h, iL1, iL2, Vo, d2)
             step_count += 1
-            if state.iL1 < -CCM_TOL or state.iL2 < -CCM_TOL:
-                name, value = (
-                    ("iL1", state.iL1) if state.iL1 < -CCM_TOL else ("iL2", state.iL2)
-                )
+            if iL1 < ccm_floor or iL2 < ccm_floor:
+                name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
                 raise CcmViolationError(t_next, name, value)
             if step_count % every == 0 and t_next != seg_end:
-                records.append(_make_record(t_next, state, R, sat2, scenario))
+                records.append(
+                    _make_record(t_next, PlantState(iL1, iL2, Vo, d2), R, sat2, scenario)
+                )
         # Segment boundary: either a load event (record both sides) or t_end.
+        state = PlantState(iL1, iL2, Vo, d2)
         records.append(_make_record(seg_end, state, R, sat2, scenario))
-        if seg_end in events:
-            R_new = active_load(scenario.load_schedule, seg_end)
-            records.append(_make_record(seg_end, state, R_new, sat2, scenario))
+        if R_next is not None:
+            records.append(_make_record(seg_end, state, R_next, sat2, scenario))
         seg_start = seg_end
     return records
 

@@ -6,7 +6,7 @@ locale), so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-from typing import Iterable, TextIO
+from typing import Iterable
 
 from .sim import TraceRecord
 
@@ -26,7 +26,3 @@ def format_trace_csv(trace: Iterable[TraceRecord]) -> str:
             f"{int(r.sat1)},{int(r.sat2)}"
         )
     return "\n".join(lines) + "\n"
-
-
-def write_trace_csv(trace: Iterable[TraceRecord], fh: TextIO) -> None:
-    fh.write(format_trace_csv(trace))

@@ -1,10 +1,13 @@
 """Integrator-accuracy harnesses shared by the sim and acceptance tests.
 
-The analytic oracle is the scalar exponential dx/dt = -rate*x, whose exact
-solution is known; the closed-loop check measures Richardson ratios on a
-smooth (never saturated) trajectory of the full plant+controller system,
-started from a small voltage perturbation so the fast transient is still
-alive at the final time and truncation error stays above roundoff.
+rk4_update is the generic classical Runge-Kutta scheme over a tuple state;
+it is the oracle that the simulator's compiled closed-loop kernel must
+reproduce bit for bit. The analytic oracle is the scalar exponential
+dx/dt = -rate*x, whose exact solution is known; the closed-loop check
+measures Richardson ratios on a smooth (never saturated) trajectory of the
+full plant+controller system, started from a small voltage perturbation so
+the fast transient is still alive at the final time and truncation error
+stays above roundoff.
 """
 
 import math
@@ -14,10 +17,25 @@ from parbuck import (
     PlantState,
     Scenario,
     equilibrium,
-    rk4_update,
     run,
     with_initial_state,
 )
+
+
+def rk4_update(f, y: tuple, h: float) -> tuple:
+    """One classical 4th-order Runge-Kutta update for an autonomous system.
+
+    ``f`` maps a state tuple to a derivative tuple.
+    """
+    k1 = f(y)
+    k2 = f(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k1)))
+    k3 = f(tuple(yi + 0.5 * h * ki for yi, ki in zip(y, k2)))
+    k4 = f(tuple(yi + h * ki for yi, ki in zip(y, k3)))
+    sixth = h / 6.0
+    return tuple(
+        yi + sixth * (a + 2.0 * (b + c) + d)
+        for yi, a, b, c, d in zip(y, k1, k2, k3, k4)
+    )
 
 
 def exponential_error(rate: float, dt: float, t_end: float) -> float:

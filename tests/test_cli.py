@@ -109,6 +109,17 @@ def test_validate_rejects_unknown_key(tmp_path, capsys):
     assert "gain1" in capsys.readouterr().err
 
 
+def test_validate_rejects_degenerate_pair(constant_scn, tmp_path, capsys):
+    """Equal Imax*L products (X = 0) are rejected by validate, as by run."""
+    text = constant_scn.read_text(encoding="utf-8")
+    assert text.count("Imax_A = 2") == 1
+    bad = tmp_path / "twins.scn"
+    bad.write_text(text.replace("Imax_A = 2", "Imax_A = 5"), encoding="utf-8")
+    assert main(["validate", str(bad)]) == EXIT_PARSE
+    assert "guard" in capsys.readouterr().err
+    assert main(["run", str(bad), "-o", str(tmp_path / "t.csv")]) == EXIT_PARSE
+
+
 def test_plot_emits_column_referencing_script(constant_scn, tmp_path):
     csv_path = tmp_path / "t.csv"
     assert main(["run", str(constant_scn), "-o", str(csv_path), "--t-end", "0.001"]) == EXIT_OK

@@ -145,6 +145,17 @@ def test_decreasing_schedule_is_rejected():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("entries", [
+    "0 = 10\nnan = 12\n0.001 = 15",
+    "0 = 10\n0.05 = 15\ninf = 12",
+], ids=["nan", "inf"])
+def test_nonfinite_load_time_is_rejected(entries):
+    """A NaN time would silently drop every later load step."""
+    text = _mutate("load_step", "0 = 10\n0.05 = 15", entries)
+    with pytest.raises(ScenarioFormatError, match="load entry time must be finite"):
+        parse_scenario(text)
+
+
 def test_zero_init_starts_dead():
     text = _mutate("constant_load", "init = equilibrium", "init = zero")
     s = parse_scenario(text)

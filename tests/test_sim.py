@@ -1,31 +1,41 @@
 """Integrator, load schedule and run loop: fixed points, order, events, guards."""
 
+import hashlib
+import json
 import math
 import random
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
 from parbuck import (
+    MAX_STEPS,
     CcmViolationError,
     DivergenceError,
     LoadStep,
     ParameterError,
     PlantState,
     Scenario,
+    ScenarioFormatError,
     ScheduleError,
     active_load,
+    bundled_scenario_text,
     controller_step,
     equilibrium,
+    format_trace_csv,
+    parse_scenario,
     plant_derivatives,
     rk4_step,
-    rk4_update,
     run,
     validate_scenario,
     with_initial_state,
 )
 
+import identities
 import numerics
+
+BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
 
 # ── Integrator kernel ─────────────────────────────────────────────────────────
@@ -33,7 +43,7 @@ import numerics
 
 def test_one_step_matches_exponential_to_fifth_order():
     """Single RK4 step on dx/dt=-x at dt=0.1: error is the dt^5 residual."""
-    y = rk4_update(lambda s: (-s[0],), (1.0,), 0.1)
+    y = numerics.rk4_update(lambda s: (-s[0],), (1.0,), 0.1)
     err = abs(y[0] - math.exp(-0.1))
     print(f"\n  one-step error {err:.3e} vs dt^5 = 1e-5")
     assert err < 1.5e-7
@@ -55,23 +65,47 @@ def test_order_four_at_simulation_step_sizes():
         assert 3.7 <= p <= 4.3
 
 
-def test_rk4_step_equals_generic_kernel(constant_scenario):
-    """The unrolled plant step reproduces rk4_update bit-for-bit."""
-    scn = constant_scenario
+def _oracle_step(scn: Scenario, state: PlantState) -> tuple:
+    """rk4_update over plant_derivatives after controller_step, unclamped."""
     R = scn.load_schedule[0].R
-    rng = random.Random(31337)
 
     def f(y):
-        state = PlantState(*y)
-        cmd = controller_step(state, scn.Vref, R, scn.p1, scn.p2, scn.gains)
-        return tuple(plant_derivatives(state, scn.p1, scn.p2, R, cmd.d1, cmd.d2_dot))
+        s = PlantState(*y)
+        cmd = controller_step(s, scn.Vref, R, scn.p1, scn.p2, scn.gains)
+        return tuple(plant_derivatives(s, scn.p1, scn.p2, R, cmd.d1, cmd.d2_dot))
 
-    for _ in range(50):
-        state = PlantState(rng.uniform(0, 2), rng.uniform(0, 2),
-                           rng.uniform(0, 12), rng.uniform(0.1, 0.9))
-        stepped, _ = rk4_step(state, 0.0, scn.dt, scn)
-        reference = rk4_update(f, tuple(state.__dict__.values()), scn.dt)
-        assert (stepped.iL1, stepped.iL2, stepped.Vo, stepped.d2) == reference
+    return numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), scn.dt)
+
+
+def test_rk4_step_equals_generic_kernel():
+    """The compiled step reproduces the readable oracle bit for bit.
+
+    Random converter pairs, gains, loads and states, at step sizes up to
+    1e-4 s. Random states mostly saturate d1; every fourth state is instead
+    drawn near the operating point with d1 interior, and every fourth sits
+    on a duty bound so that the d2 clamp fires. The oracle's d2 is clamped
+    to [0, 1] before the comparison, and sat2 must say whether that changed it.
+    """
+    rng = random.Random(31337)
+    d1_saturated = d2_clamped = 0
+    for k in range(240):
+        p1, p2, gains, R, vref = identities.random_setup(rng)
+        if k % 4 == 1:
+            state, _ = identities.unsaturated_sample(rng, p1, p2, gains, R, vref)
+        else:
+            state = identities.random_state(rng, p1, p2, vref)
+        if k % 4 == 0:
+            state = replace(state, d2=float(k % 8 == 0))
+        scn = Scenario(p1, p2, gains, vref, (LoadStep(0.0, R),), dt=(1e-6, 1e-5, 1e-4)[k % 3])
+        *currents_and_vo, d2 = _oracle_step(scn, state)
+        clamped = min(max(d2, 0.0), 1.0)
+        stepped, sat2 = rk4_step(state, 0.0, scn.dt, scn)
+        assert (stepped.iL1, stepped.iL2, stepped.Vo, stepped.d2) == (*currents_and_vo, clamped)
+        assert sat2 == (clamped != d2)
+        d1_saturated += controller_step(state, vref, R, p1, p2, gains).saturated
+        d2_clamped += sat2
+    print(f"\n  d1 saturated on {d1_saturated}/240 states, d2 clamped on {d2_clamped}/240")
+    assert 20 <= d1_saturated <= 240 - 20 and d2_clamped >= 20
 
 
 def test_rk4_step_preserves_equilibrium(constant_scenario):
@@ -108,8 +142,15 @@ def test_rk4_step_divergence_names_time_and_component(constant_scenario):
         for i in range(1000):
             step, _ = rk4_step(step, i * scn.dt, scn.dt, scn)
     print(f"\n  {err.value}")
-    assert err.value.component in ("iL1", "iL2", "Vo", "d2", "duty command")
+    assert err.value.component in ("iL1", "iL2", "Vo", "d2")
     assert err.value.t > 0.0
+
+
+def test_bundled_load_step_trace_matches_bench_reference(step_trace):
+    """The bundled load step's CSV has the sha256 stored with the benchmark."""
+    reference = json.loads((BENCH_REFERENCE / "load_step.json").read_text(encoding="utf-8"))
+    csv = format_trace_csv(step_trace).encode("utf-8")
+    assert hashlib.sha256(csv).hexdigest() == reference["sha256"]
 
 
 # ── Load schedule ─────────────────────────────────────────────────────────────
@@ -183,6 +224,21 @@ def test_event_not_on_grid_shortens_the_step(step_scenario):
     assert trace[-1].t == pytest.approx(0.0501, abs=1e-12)
 
 
+def test_event_within_rounding_of_start_takes_no_step(step_scenario):
+    """A first segment shorter than dt*1e-9 holds no step but still records
+    both sides of its event, with the initial state and sat2 unset."""
+    scn = replace(
+        step_scenario,
+        load_schedule=(LoadStep(0.0, 10.0), LoadStep(1e-16, 15.0)),
+        t_end=1e-5,
+    )
+    trace = run(scn)
+    pre, post = trace[1:3]
+    assert (pre.t, post.t, pre.R_active, post.R_active) == (1e-16, 1e-16, 10.0, 15.0)
+    assert (pre.Vo, post.Vo, pre.sat2) == (scn.initial_state.Vo, scn.initial_state.Vo, False)
+    assert trace[-1].t == 1e-5
+
+
 def test_cold_start_violates_continuous_conduction(constant_scenario):
     """From a dead bus, leg 2's current is pulled negative within microseconds:
     its duty starts at zero, so any bus voltage discharges the inductor."""
@@ -208,6 +264,20 @@ def test_run_rejects_invalid_scenarios(constant_scenario):
             validate_scenario(bad)
         with pytest.raises(ParameterError):
             run(bad)
+
+
+def test_step_limit_bounds_the_work(step_scenario):
+    """More than MAX_STEPS steps is rejected by validation, before any step."""
+    validate_scenario(replace(step_scenario, t_end=4.78))  # criterion 2's horizon
+    assert 100.0 / step_scenario.dt == MAX_STEPS
+    validate_scenario(replace(step_scenario, t_end=100.0))
+    for bad in (replace(step_scenario, dt=1e-15), replace(step_scenario, t_end=1e300, dt=1e-300)):
+        with pytest.raises(ParameterError, match="exceeds the limit"):
+            validate_scenario(bad)
+    text = bundled_scenario_text("load_step")
+    assert "dt_s = 1e-6" in text
+    with pytest.raises(ScenarioFormatError, match="exceeds the limit"):
+        parse_scenario(text.replace("dt_s = 1e-6", "dt_s = 1e-15"))
 
 
 def test_record_cadence_counts_steps(constant_scenario):
