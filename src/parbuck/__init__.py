@@ -59,9 +59,10 @@ from .sim import (
     active_load,
     rk4_step,
     run,
+    step_count,
     validate_scenario,
     with_initial_state,
 )
-from .trace_csv import CSV_COLUMNS, format_trace_csv
+from .trace_csv import CSV_COLUMNS, format_trace_csv, trace_csv_lines
 
 __version__ = "0.1.0"

@@ -31,8 +31,8 @@ from .errors import (
 from .metrics import RunMetrics, compute_metrics
 from .plotting import emit_plot_script
 from .scenario_io import load_scenario
-from .sim import run
-from .trace_csv import format_trace_csv
+from .sim import run, step_count
+from .trace_csv import trace_csv_lines
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -95,7 +95,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     out_path = args.output or str(Path(args.scenario).with_suffix(".csv").name)
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(format_trace_csv(trace))
+            fh.writelines(trace_csv_lines(trace))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {out_path!r}: {exc}")
 
@@ -129,7 +129,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         return _fail(EXIT_IO, f"cannot read scenario {args.scenario!r}: {exc}")
     except ScenarioFormatError as exc:
         return _fail(EXIT_PARSE, f"{args.scenario}: {exc}")
-    steps = round(scenario.t_end / scenario.dt)
+    steps = step_count(scenario)
     print(f"OK: {args.scenario}")
     print(f"  Vref={scenario.Vref!r} V, dt={scenario.dt!r} s, t_end={scenario.t_end!r} s "
           f"({steps} steps), init={scenario.init_label}")

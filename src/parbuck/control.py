@@ -151,8 +151,15 @@ def coupling_constant(
 
     The sharing law divides by X, so converters with matching Imax*L products
     cannot be told apart by it; |X| < x_guard raises DegenerateConfigError.
+    So does a product too small for its reciprocal to be finite (X not finite).
     """
-    x = 1.0 / (p2.Imax * p2.L) - 1.0 / (p1.Imax * p1.L)
+    il1, il2 = p1.Imax * p1.L, p2.Imax * p2.L
+    x = 1.0 / il2 - 1.0 / il1 if il1 > 0.0 and il2 > 0.0 else math.inf
+    if not math.isfinite(x):
+        raise DegenerateConfigError(
+            f"X is not finite: the converters' rated ampere-henry products "
+            f"({il1!r}, {il2!r}) are too small for the sharing law"
+        )
     if abs(x) < x_guard:
         raise DegenerateConfigError(
             f"|X|={abs(x):.6g} is below the guard {x_guard:.6g}; the converters' "

@@ -155,12 +155,14 @@ def parse_scenario(text: str) -> Scenario:
     dt = _number(sim_table, "dt_s", 1e-6)
     t_end = _number(sim_table, "t_end_s", 0.1)
     record_every_f = _number(sim_table, "record_every", 50.0)
-    record_every = int(record_every_f)
-    if record_every != record_every_f or record_every < 1:
+    # int() raises on nan and inf, so finiteness is checked first.
+    if not (math.isfinite(record_every_f) and record_every_f == int(record_every_f)
+            and record_every_f >= 1):
         raise ScenarioFormatError(
             f"record_every must be a positive integer, got {record_every_f!r}",
             key="record_every",
         )
+    record_every = int(record_every_f)
     if "init" in sim_table:
         init_label, lineno = sim_table["init"]
         if init_label not in _INIT_LABELS:

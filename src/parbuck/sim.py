@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from .control import ControlGains, controller_step, coupling_constant
+from .control import ControlGains, coupling_constant
 from .errors import CcmViolationError, DivergenceError, ParameterError, ScheduleError
 from .model import ConverterParams, PlantState
 
@@ -55,8 +55,7 @@ class Scenario:
     init_label: str = "custom"
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     """One recorded sample: state, commands, errors and loop energies.
 
     sat1 means the d1 command was clamped at this sample; sat2 means the d2
@@ -142,15 +141,59 @@ def active_load(load_schedule: tuple[LoadStep, ...], t: float) -> float:
     return R
 
 
+class _Segment(NamedTuple):
+    """A stretch of constant load: n_full steps of dt, then one remainder step
+    when remainder > 0, so that the segment ends exactly at `end`."""
+
+    start: float
+    end: float
+    R: float
+    n_full: int
+    remainder: float
+
+
+def _segments(scenario: Scenario) -> list[_Segment]:
+    """The segment plan of a validated scenario, the one run() integrates.
+
+    Validation makes the schedule start at t=0 and strictly increase, so the
+    entries before t_end split the run into segments of constant load.
+    """
+    schedule, t_end, dt = scenario.load_schedule, scenario.t_end, scenario.dt
+    events = [e for e in schedule[1:] if e.time < t_end]
+    ends = [e.time for e in events] + [t_end]
+    loads = [schedule[0].R] + [e.R for e in events]
+    plan = []
+    start = 0.0
+    for end, R in zip(ends, loads):
+        seg_len = end - start
+        n_full = int(math.floor(seg_len / dt + 1e-9))
+        remainder = seg_len - n_full * dt
+        if remainder <= dt * 1e-9:
+            remainder = 0.0
+        plan.append(_Segment(start, end, R, n_full, remainder))
+        start = end
+    return plan
+
+
+def step_count(scenario: Scenario) -> int:
+    """Number of integration steps run() takes on a validated scenario.
+
+    Each load event off the dt grid adds one shortened step to its segment.
+    """
+    return sum(seg.n_full + (seg.remainder > 0.0) for seg in _segments(scenario))
+
+
 def _compile(scenario: Scenario):
     """Compile the closed loop of one scenario into a fixed-step RK4 kernel.
 
-    Returns ``step_at(R)``, which gives the step function at load ``R``:
-    ``step(t, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)``. The step
-    runs over four floats with the scenario's constants bound once, and
-    evaluates controller_step followed by plant_derivatives expression by
-    expression, in their order and with their operands, so it reproduces
-    them bit for bit. Only subexpressions that those functions compute from
+    Returns ``step_at(R)``, which gives the step function and the record
+    builder at load ``R``:
+    ``step(t, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)`` and
+    ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord``. Both run over four
+    floats with the scenario's constants bound once. The record evaluates
+    controller_step, the step controller_step followed by plant_derivatives,
+    expression by expression, in their order and with their operands, so
+    they reproduce them bit for bit. Only subexpressions that those functions compute from
     the same operands in the same order are shared.
 
     Non-finiteness is checked once per step, on the new state: every stage
@@ -220,7 +263,36 @@ def _compile(scenario: Scenario):
                 return iL1, iL2, Vo, 1.0, True
             return iL1, iL2, Vo, d2, False
 
-        return step
+        def record(t, iL1, iL2, Vo, d2, sat2):
+            # controller_step's signals, computed as f computes them. A
+            # separate evaluation: returning them from f would slow every step.
+            Vo_R = Vo / R
+            e = Vref - Vo
+            e_dot = (Vo_R - iL1 - iL2) / Ctot
+            diL2 = (d2 * Vin2 - Vo) / L2
+            i_tilde = Vref_R - iL2 + k1 * e - iL1
+            w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
+            raw = (L1 * w + Vo) / Vin1
+            d1 = raw
+            if duty_min > d1:
+                d1 = duty_min
+            if duty_max < d1:
+                d1 = duty_max
+            e2 = iL1 / Imax1 - iL2 / Imax2
+            share1 = d1 * Vin1 / IL1
+            share2 = d2 * Vin2 / IL2
+            v_tilde = (-share1 + share2 - k2 * e2) / X - Vo
+            dVo = (iL1 + iL2 - Vo_R) / Ctot
+            e2_dot = share1 - share2 + Vo * X
+            d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
+            return TraceRecord(
+                t, iL1, iL2, Vo, d1, d2, d2_dot, e, e2,
+                0.5 * (e * e + i_tilde * i_tilde),
+                0.5 * (e2 * e2 + v_tilde * v_tilde),
+                R, d1 != raw, sat2,
+            )
+
+        return step, record
 
     return step_at
 
@@ -243,35 +315,9 @@ def rk4_step(
     for name in _STATE_FIELDS:
         if not math.isfinite(getattr(state, name)):
             raise DivergenceError(t + dt, name)
-    step = _compile(scenario)(active_load(scenario.load_schedule, t))
+    step, _ = _compile(scenario)(active_load(scenario.load_schedule, t))
     *new, sat2 = step(t, dt, state.iL1, state.iL2, state.Vo, state.d2)
     return PlantState(*new), sat2
-
-
-def _make_record(
-    t: float,
-    state: PlantState,
-    R: float,
-    sat2: bool,
-    scenario: Scenario,
-) -> TraceRecord:
-    sig = controller_step(state, scenario.Vref, R, scenario.p1, scenario.p2, scenario.gains)
-    return TraceRecord(
-        t=t,
-        iL1=state.iL1,
-        iL2=state.iL2,
-        Vo=state.Vo,
-        d1=sig.d1,
-        d2=state.d2,
-        d2_dot=sig.d2_dot,
-        e=sig.e,
-        e2=sig.e2,
-        V1_lyap=sig.lyap_v,
-        V2_lyap=sig.lyap_share,
-        R_active=R,
-        sat1=sig.saturated,
-        sat2=sat2,
-    )
 
 
 def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord]:
@@ -287,35 +333,23 @@ def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord
     if every < 1:
         raise ParameterError(f"record_every must be >= 1, got {every!r}")
 
-    # Validation makes the schedule start at t=0 and strictly increase, so the
-    # entries before t_end split the run into segments of constant load.
-    schedule = scenario.load_schedule
-    events = [e for e in schedule[1:] if e.time < scenario.t_end]
-    ends = [e.time for e in events] + [scenario.t_end]
-    loads = [schedule[0].R] + [e.R for e in events]
-
     state = scenario.initial_state
-    records = [_make_record(0.0, state, loads[0], False, scenario)]
+    iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
+    plan = _segments(scenario)
+    step_at = _compile(scenario)
+    kernels = [step_at(seg.R) for seg in plan]  # (step, record) per segment
+    _, first_record = kernels[0]
+    records = [first_record(0.0, iL1, iL2, Vo, d2, False)]
     if scenario.t_end == 0.0:
         return records
 
-    step_at = _compile(scenario)
     dt = scenario.dt
     ccm_floor = -CCM_TOL
-    iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
     sat2 = False
-    step_count = 0
-    seg_start = 0.0
-    for seg_end, R, R_next in zip(ends, loads, loads[1:] + [None]):
-        step = step_at(R)
-        seg_len = seg_end - seg_start
-        n_full = int(math.floor(seg_len / dt + 1e-9))
-        remainder = seg_len - n_full * dt
-        if remainder <= dt * 1e-9:
-            remainder = 0.0
-            n_sub = n_full
-        else:
-            n_sub = n_full + 1
+    steps = 0
+    for k, (seg_start, seg_end, _, n_full, remainder) in enumerate(plan):
+        step, record = kernels[k]
+        n_sub = n_full + (remainder > 0.0)
         for i in range(1, n_sub + 1):
             if i <= n_full:
                 t_prev = seg_start + (i - 1) * dt
@@ -326,20 +360,17 @@ def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord
                 h = remainder
                 t_next = seg_end
             iL1, iL2, Vo, d2, sat2 = step(t_prev, h, iL1, iL2, Vo, d2)
-            step_count += 1
+            steps += 1
             if iL1 < ccm_floor or iL2 < ccm_floor:
                 name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
                 raise CcmViolationError(t_next, name, value)
-            if step_count % every == 0 and t_next != seg_end:
-                records.append(
-                    _make_record(t_next, PlantState(iL1, iL2, Vo, d2), R, sat2, scenario)
-                )
+            if steps % every == 0 and t_next != seg_end:
+                records.append(record(t_next, iL1, iL2, Vo, d2, sat2))
         # Segment boundary: either a load event (record both sides) or t_end.
-        state = PlantState(iL1, iL2, Vo, d2)
-        records.append(_make_record(seg_end, state, R, sat2, scenario))
-        if R_next is not None:
-            records.append(_make_record(seg_end, state, R_next, sat2, scenario))
-        seg_start = seg_end
+        records.append(record(seg_end, iL1, iL2, Vo, d2, sat2))
+        if k + 1 < len(kernels):
+            _, next_record = kernels[k + 1]
+            records.append(next_record(seg_end, iL1, iL2, Vo, d2, sat2))
     return records
 
 

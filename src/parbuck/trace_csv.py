@@ -6,7 +6,7 @@ locale), so identical runs produce byte-identical files.
 
 from __future__ import annotations
 
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .sim import TraceRecord
 
@@ -16,13 +16,18 @@ CSV_COLUMNS = (
 )
 
 
-def format_trace_csv(trace: Iterable[TraceRecord]) -> str:
-    """The whole trace as CSV text, one row per record."""
-    lines = [",".join(CSV_COLUMNS)]
+def trace_csv_lines(trace: Iterable[TraceRecord]) -> Iterator[str]:
+    """The trace as CSV lines, header first, one row per record, each ending
+    in a newline; a writer can stream them without holding the whole text."""
+    yield ",".join(CSV_COLUMNS) + "\n"
     for r in trace:
-        lines.append(
+        yield (
             f"{r.t!r},{r.iL1!r},{r.iL2!r},{r.Vo!r},{r.d1!r},{r.d2!r},{r.d2_dot!r},"
             f"{r.e!r},{r.e2!r},{r.V1_lyap!r},{r.V2_lyap!r},{r.R_active!r},"
-            f"{int(r.sat1)},{int(r.sat2)}"
+            f"{int(r.sat1)},{int(r.sat2)}\n"
         )
-    return "\n".join(lines) + "\n"
+
+
+def format_trace_csv(trace: Iterable[TraceRecord]) -> str:
+    """The whole trace as CSV text, one row per record."""
+    return "".join(trace_csv_lines(trace))

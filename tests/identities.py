@@ -83,6 +83,31 @@ def unsaturated_sample(rng: random.Random, p1, p2, gains, R, vref):
     raise AssertionError("could not find an unsaturated sample")
 
 
+def exposed_sample(rng: random.Random, p1, p2, gains, R, vref) -> PlantState:
+    """State with iL1 = d2 = 0, an interior d1 command and a positive d2_dot.
+
+    A component of order one rounds away the low bits of h*slope when a step
+    adds it, but a zero component takes them whole, so at this state a change
+    in the last bits of d1 shows in the stepped iL1, and one in d2_dot in the
+    stepped d2. iL2 is solved for a drawn d1: the rate target w behind d1 is
+    affine in iL2 with slope -(1 + k1/Ctot).
+    """
+    ctot = p1.C + p2.C
+    for _ in range(1000):
+        Vo = rng.uniform(0.0, 1.3) * vref
+        w_target = (rng.uniform(0.05, 0.95) * p1.Vin - Vo) / p1.L
+        e = vref - Vo
+        w_at_zero = Vo / p2.L + vref / R + gains.k1 * e + e / ctot + gains.k1 * (Vo / R) / ctot
+        iL2 = (w_at_zero - w_target) / (1.0 + gains.k1 / ctot)
+        if iL2 < 0.0:
+            continue
+        state = PlantState(iL1=0.0, iL2=iL2, Vo=Vo, d2=0.0)
+        sig = controller_step(state, vref, R, p1, p2, gains)
+        if not sig.saturated and sig.d2_dot > 0.0:
+            return state
+    raise AssertionError("could not find an exposed sample")
+
+
 def voltage_error_dynamics_gap(rng: random.Random) -> float:
     """Ctot*de/dt + e*(1/R + k1) == i_tilde with de/dt from the output node."""
     p1, p2, gains, R, vref = random_setup(rng)

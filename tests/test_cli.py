@@ -2,10 +2,11 @@
 
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from parbuck import bundled_scenario_text
+from parbuck import bundled_scenario_text, load_scenario, run
 from parbuck.cli import (
     EXIT_CCM,
     EXIT_DIVERGENCE,
@@ -118,6 +119,33 @@ def test_validate_rejects_degenerate_pair(constant_scn, tmp_path, capsys):
     assert main(["validate", str(bad)]) == EXIT_PARSE
     assert "guard" in capsys.readouterr().err
     assert main(["run", str(bad), "-o", str(tmp_path / "t.csv")]) == EXIT_PARSE
+
+
+@pytest.mark.parametrize("cadence", ["nan", "1e400"])
+def test_non_finite_record_cadence_exits_parse(tmp_path, capsys, cadence):
+    """A nan or overflowing record_every is a format error, not a traceback."""
+    text = bundled_scenario_text("constant_load")
+    assert text.count("record_every = 50") == 1
+    bad = tmp_path / "cadence.scn"
+    bad.write_text(text.replace("record_every = 50", f"record_every = {cadence}"))
+    for command in (["validate", str(bad)], ["run", str(bad), "-o", str(tmp_path / "c.csv")]):
+        assert main(command) == EXIT_PARSE
+        assert "record_every" in capsys.readouterr().err
+
+
+def test_validate_counts_the_steps_run_takes(tmp_path, capsys):
+    """An event off the dt grid adds a shortened step: 5.5 + 4.5 steps of
+    1 us are 6 + 5 steps, not round(t_end/dt) = 10. With a record every step,
+    run() records each step, the initial sample and the event's second side."""
+    text = bundled_scenario_text("load_step")
+    assert text.count("0.05 = 15") == 1 and text.count("t_end_s = 0.1") == 1
+    path = tmp_path / "off_grid.scn"
+    path.write_text(text.replace("0.05 = 15", "5.5e-06 = 15").replace(
+        "t_end_s = 0.1", "t_end_s = 1e-05"))
+    assert main(["validate", str(path)]) == EXIT_OK
+    assert "(11 steps)" in capsys.readouterr().out
+    scenario = replace(load_scenario(str(path)), record_every=1)
+    assert len(run(scenario)) == 1 + 11 + 1
 
 
 def test_plot_emits_column_referencing_script(constant_scn, tmp_path):

@@ -4,15 +4,24 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parbuck import (
     BUNDLED_SCENARIOS,
+    ControlGains,
+    ConverterParams,
+    DegenerateConfigError,
     LoadStep,
+    ParameterError,
+    PlantState,
+    Scenario,
     ScenarioFormatError,
     bundled_scenario_text,
     equilibrium,
     format_scenario,
     parse_scenario,
+    validate_scenario,
 )
 
 
@@ -145,6 +154,15 @@ def test_decreasing_schedule_is_rejected():
         parse_scenario(text)
 
 
+@pytest.mark.parametrize("imax", ["1e-321", "1e-310"], ids=["underflow", "overflow"])
+def test_tiny_ampere_henry_product_is_rejected(imax):
+    """Imax*L underflowing to zero, or a reciprocal overflowing to inf,
+    leaves no finite coupling constant X: a format error, not a crash."""
+    text = _mutate("constant_load", "Imax_A = 5", f"Imax_A = {imax}")
+    with pytest.raises(ScenarioFormatError, match="X is not finite"):
+        parse_scenario(text)
+
+
 @pytest.mark.parametrize("entries", [
     "0 = 10\nnan = 12\n0.001 = 15",
     "0 = 10\n0.05 = 15\ninf = 12",
@@ -174,3 +192,81 @@ def test_custom_initial_state_cannot_be_serialized(constant_scenario):
 def test_unknown_bundled_name_is_rejected():
     with pytest.raises(ScenarioFormatError, match="unknown bundled scenario"):
         bundled_scenario_text("nonexistent")
+
+
+# ── Properties ────────────────────────────────────────────────────────────────
+
+
+def _finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# L and C are drawn in the file's units and converted as parsing converts
+# them: x/1e6 skips some floats, so not every SI capacitance has a C_uF that
+# writes it exactly, and format_scenario rejects those.
+_converters = st.builds(
+    ConverterParams, L=_finite(1e-3, 1e2).map(lambda mH: mH / 1e3),
+    C=_finite(1e-2, 1e4).map(lambda uF: uF / 1e6), Vin=_finite(1.0, 1e3), Imax=_finite(1e-2, 1e2),
+)
+
+
+@st.composite
+def scenarios(draw):
+    """Valid scenarios with a file-representable initial state."""
+    p1, p2 = draw(_converters), draw(_converters)
+    gains = ControlGains(
+        k1=draw(_finite(1e-3, 1e3)), k2=draw(_finite(1e-3, 1e3)),
+        x_guard=draw(_finite(1e-6, 1e-2)),
+        duty_min=draw(_finite(0.0, 0.49)), duty_max=draw(_finite(0.5, 1.0)),
+    )
+    vref = draw(_finite(1e-2, 0.99)) * min(p1.Vin, p2.Vin)
+    times = draw(st.lists(_finite(1e-9, 10.0), max_size=4, unique=True))
+    loads = draw(st.lists(_finite(1e-2, 1e4), min_size=len(times) + 1, max_size=len(times) + 1))
+    schedule = tuple(LoadStep(t, R) for t, R in zip([0.0] + sorted(times), loads))
+    label = draw(st.sampled_from(("zero", "equilibrium")))
+    state = (equilibrium(p1, p2, schedule[0].R, vref) if label == "equilibrium"
+             else PlantState(0.0, 0.0, 0.0, 0.0))
+    scenario = Scenario(
+        p1, p2, gains, vref, schedule, dt=draw(_finite(1e-9, 1e-3)),
+        t_end=draw(_finite(0.0, 10.0)), initial_state=state,
+        record_every=draw(st.integers(1, 10**6)), init_label=label,
+    )
+    try:
+        validate_scenario(scenario)
+    except (ParameterError, DegenerateConfigError):
+        assume(False)
+    return scenario
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(scenarios())
+def test_format_then_parse_is_identity(scenario):
+    assert parse_scenario(format_scenario(scenario)) == scenario
+
+
+_values = st.one_of(
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "1e-321", "-0", "0", "1_0", "0x10", "")),
+    st.floats().map(repr), st.integers().map(str), st.text(max_size=12),
+)
+
+
+def _parses_or_names_its_error(text):
+    try:
+        parse_scenario(text)
+    except ScenarioFormatError:
+        pass
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.text(), _values)
+def test_any_text_raises_only_scenario_format_error(text, value):
+    """Arbitrary text, and each bundled file with each of its entries in turn
+    given an arbitrary value: parsing succeeds or raises ScenarioFormatError."""
+    _parses_or_names_its_error(text)
+    for name in BUNDLED_SCENARIOS:
+        lines = bundled_scenario_text(name).splitlines()
+        for i, line in enumerate(lines):
+            key, sep, _ = line.partition("=")
+            if sep:
+                entry = f"{key}= {value}"
+                _parses_or_names_its_error("\n".join(lines[:i] + [entry] + lines[i + 1:]))

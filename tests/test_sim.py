@@ -77,17 +77,18 @@ def _oracle_step(scn: Scenario, state: PlantState) -> tuple:
     return numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), scn.dt)
 
 
-def test_rk4_step_equals_generic_kernel():
-    """The compiled step reproduces the readable oracle bit for bit.
+def _kernel_cases():
+    """(scenario, state) pairs on which the compiled kernel must match the oracle.
 
-    Random converter pairs, gains, loads and states, at step sizes up to
+    240 random converter pairs, gains, loads and states, at step sizes up to
     1e-4 s. Random states mostly saturate d1; every fourth state is instead
     drawn near the operating point with d1 interior, and every fourth sits
-    on a duty bound so that the d2 clamp fires. The oracle's d2 is clamped
-    to [0, 1] before the comparison, and sat2 must say whether that changed it.
+    on a duty bound so that the d2 clamp fires. Every fourth setup also gets
+    an exposed state (iL1 = d2 = 0, d1 interior, d2 rising), drawn from its
+    own generator, whose stepped iL1 and d2 keep the low bits of the slopes.
     """
     rng = random.Random(31337)
-    d1_saturated = d2_clamped = 0
+    exposed_rng = random.Random(4242)
     for k in range(240):
         p1, p2, gains, R, vref = identities.random_setup(rng)
         if k % 4 == 1:
@@ -97,15 +98,51 @@ def test_rk4_step_equals_generic_kernel():
         if k % 4 == 0:
             state = replace(state, d2=float(k % 8 == 0))
         scn = Scenario(p1, p2, gains, vref, (LoadStep(0.0, R),), dt=(1e-6, 1e-5, 1e-4)[k % 3])
+        yield scn, state
+        if k % 4 == 2:
+            yield scn, identities.exposed_sample(exposed_rng, p1, p2, gains, R, vref)
+
+
+def test_rk4_step_equals_generic_kernel():
+    """The compiled step reproduces the readable oracle bit for bit.
+
+    The oracle's d2 is clamped to [0, 1] before the comparison, and sat2
+    must say whether that changed it.
+    """
+    n = d1_saturated = d2_clamped = 0
+    for scn, state in _kernel_cases():
         *currents_and_vo, d2 = _oracle_step(scn, state)
         clamped = min(max(d2, 0.0), 1.0)
         stepped, sat2 = rk4_step(state, 0.0, scn.dt, scn)
         assert (stepped.iL1, stepped.iL2, stepped.Vo, stepped.d2) == (*currents_and_vo, clamped)
         assert sat2 == (clamped != d2)
-        d1_saturated += controller_step(state, vref, R, p1, p2, gains).saturated
+        R = scn.load_schedule[0].R
+        n += 1
+        d1_saturated += controller_step(state, scn.Vref, R, scn.p1, scn.p2, scn.gains).saturated
         d2_clamped += sat2
-    print(f"\n  d1 saturated on {d1_saturated}/240 states, d2 clamped on {d2_clamped}/240")
-    assert 20 <= d1_saturated <= 240 - 20 and d2_clamped >= 20
+    print(f"\n  d1 saturated on {d1_saturated}/{n} states, d2 clamped on {d2_clamped}/{n}")
+    assert 20 <= d1_saturated <= n - 20 and d2_clamped >= 20
+
+
+def test_compiled_record_equals_controller_step():
+    """Every record field is controller_step's value at the recorded state.
+
+    The record comes from the compiled kernel; run() on a zero horizon gives
+    exactly one, at the initial state, on the kernel test's cases.
+    """
+    n = d1_saturated = 0
+    for scn, state in _kernel_cases():
+        (rec,) = run(replace(scn, initial_state=state, t_end=0.0))
+        R = scn.load_schedule[0].R
+        sig = controller_step(state, scn.Vref, R, scn.p1, scn.p2, scn.gains)
+        assert rec == (
+            0.0, state.iL1, state.iL2, state.Vo, sig.d1, state.d2, sig.d2_dot, sig.e,
+            sig.e2, sig.lyap_v, sig.lyap_share, R, sig.saturated, False,
+        )
+        n += 1
+        d1_saturated += sig.saturated
+    print(f"\n  d1 saturated on {d1_saturated}/{n} records")
+    assert 20 <= d1_saturated <= n - 20
 
 
 def test_rk4_step_preserves_equilibrium(constant_scenario):
@@ -146,11 +183,22 @@ def test_rk4_step_divergence_names_time_and_component(constant_scenario):
     assert err.value.t > 0.0
 
 
+def _reference_sha256(workload: str) -> str:
+    path = BENCH_REFERENCE / f"{workload}.json"
+    return json.loads(path.read_text(encoding="utf-8"))["sha256"]
+
+
 def test_bundled_load_step_trace_matches_bench_reference(step_trace):
     """The bundled load step's CSV has the sha256 stored with the benchmark."""
-    reference = json.loads((BENCH_REFERENCE / "load_step.json").read_text(encoding="utf-8"))
     csv = format_trace_csv(step_trace).encode("utf-8")
-    assert hashlib.sha256(csv).hexdigest() == reference["sha256"]
+    assert hashlib.sha256(csv).hexdigest() == _reference_sha256("load_step")
+
+
+def test_dense_load_step_trace_matches_bench_reference(step_scenario):
+    """The bundled load step recorded at every step (1e5 records, both sides
+    of the event) gives the CSV stored with the benchmark, byte for byte."""
+    csv = format_trace_csv(run(replace(step_scenario, record_every=1))).encode("utf-8")
+    assert hashlib.sha256(csv).hexdigest() == _reference_sha256("dense_trace")
 
 
 # ── Load schedule ─────────────────────────────────────────────────────────────
