@@ -59,9 +59,9 @@ from .sim import (
     active_load,
     rk4_step,
     run,
+    simulate,
     step_count,
     validate_scenario,
-    with_initial_state,
 )
 from .trace_csv import CSV_COLUMNS, format_trace_csv, trace_csv_lines
 

@@ -16,6 +16,7 @@ Exit codes: 0 success, 3 scenario/CSV parse or validation error,
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
 from dataclasses import replace
@@ -31,8 +32,8 @@ from .errors import (
 from .metrics import RunMetrics, compute_metrics
 from .plotting import emit_plot_script
 from .scenario_io import load_scenario
-from .sim import run, step_count
-from .trace_csv import trace_csv_lines
+from .sim import simulate, step_count
+from .trace_csv import CSV_HEADER, trace_csv_rows
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -83,25 +84,46 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     started = time.perf_counter()
     try:
-        trace = run(scenario)
+        records = simulate(scenario)
+    except ParbuckError as exc:
+        return _fail(EXIT_PARSE, f"{args.scenario}: {exc}")
+
+    # The CSV is written to a side file and renamed onto the output path only
+    # once the run and its metrics succeed, so a failed run leaves no file
+    # and never overwrites an existing one.
+    out_path = args.output or str(Path(args.scenario).with_suffix(".csv").name)
+    part_path = Path(out_path + ".part")
+    count = 0
+
+    def written(fh):
+        """The records, each passed on once its CSV row is written to fh."""
+        nonlocal count
+        fh.write(CSV_HEADER)
+        for count, (record, row) in enumerate(trace_csv_rows(records), start=1):
+            fh.write(row)
+            yield record
+
+    try:
+        try:
+            with open(part_path, "w", encoding="utf-8", newline="\n") as fh:
+                metrics = compute_metrics(written(fh), scenario.Vref)
+            os.replace(part_path, out_path)
+        except BaseException:
+            part_path.unlink(missing_ok=True)
+            raise
     except DivergenceError as exc:
         return _fail(EXIT_DIVERGENCE, str(exc))
     except CcmViolationError as exc:
         return _fail(EXIT_CCM, str(exc))
     except ParbuckError as exc:
         return _fail(EXIT_PARSE, f"{args.scenario}: {exc}")
-    elapsed = time.perf_counter() - started
-
-    out_path = args.output or str(Path(args.scenario).with_suffix(".csv").name)
-    try:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(trace_csv_lines(trace))
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot write {out_path!r}: {exc}")
+    elapsed = time.perf_counter() - started
 
     print(f"simulated {scenario.t_end!r} s in {elapsed:.2f} s wall time; "
-          f"{len(trace)} records -> {out_path}")
-    _print_metrics(compute_metrics(trace, scenario.Vref))
+          f"{count} records -> {out_path}")
+    _print_metrics(metrics)
     return EXIT_OK
 
 

@@ -3,15 +3,19 @@
 Settling is "enter the band and never leave it again before the end of the
 trace"; a signal still outside its band at the last sample has no settling
 time. Steady-state errors are means over the final 10% of the trace's time
-span. Lyapunov decrease is a reported diagnostic rather than a hard check:
-the sharing-loop energy (e2^2 + v_tilde^2)/2 is guaranteed to decrease only
-while d1 is frozen, and the voltage law moves d1 against d2 (see the
-parbuck.control module docstring).
+span. Every metric is computed in one pass over the records, so a trace can
+be reduced while it is produced. Lyapunov decrease is a reported diagnostic
+rather than a hard check: the sharing-loop energy (e2^2 + v_tilde^2)/2 is
+guaranteed to decrease only while d1 is frozen, and the voltage law moves d1
+against d2 (see the parbuck.control module docstring).
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import pairwise
+from typing import Iterable
 
 from .errors import ParbuckError
 from .sim import TraceRecord
@@ -36,95 +40,124 @@ class RunMetrics:
     max_duty_saturation_time: float
 
 
-def _check_trace(trace: list[TraceRecord]) -> None:
-    if not trace:
-        raise ParbuckError("cannot compute metrics of an empty trace")
-    for a, b in zip(trace, trace[1:]):
-        if b.t < a.t:
-            raise ParbuckError(
-                f"trace must be time-sorted: t={b.t!r} follows t={a.t!r}"
-            )
+def _pair_verdict(a: TraceRecord, b: TraceRecord, lyap_tol: float, t_start: float) -> bool | None:
+    """None when consecutive records a, b form no Lyapunov pair, else whether
+    a loop energy grew by more than lyap_tol between them.
 
-
-def _settle_time(trace: list[TraceRecord], inside) -> float | None:
-    """First time after which `inside` holds through the end of the trace."""
-    last_outside = None
-    for i, rec in enumerate(trace):
-        if not inside(rec):
-            last_outside = i
-    if last_outside is None:
-        return trace[0].t
-    if last_outside == len(trace) - 1:
+    A pair starts at or after t_start, spans nonzero time (load events
+    duplicate a timestamp to show both resistances; those pairs are
+    re-evaluations, not evolution) and has neither record saturated.
+    """
+    if a.t < t_start or b.t == a.t or a.sat1 or a.sat2 or b.sat1 or b.sat2:
         return None
-    return trace[last_outside + 1].t
+    return b.V1_lyap - a.V1_lyap > lyap_tol or b.V2_lyap - a.V2_lyap > lyap_tol
 
 
 def lyapunov_violation_fraction(
-    trace: list[TraceRecord],
+    trace: Iterable[TraceRecord],
     lyap_tol: float = 1e-9,
     t_start: float = 0.0,
 ) -> float:
     """Fraction of unsaturated sample pairs where a loop energy grew.
 
     Pairs are consecutive records with t >= t_start, neither record
-    saturated, spanning nonzero time (load events duplicate a timestamp to
-    show both resistances; those pairs are re-evaluations, not evolution).
-    A pair counts as a violation when V1 or V2 increased by more than
-    lyap_tol. Returns 0.0 when no pair qualifies.
+    saturated, spanning nonzero time. A pair counts as a violation when V1
+    or V2 increased by more than lyap_tol. Returns 0.0 when no pair
+    qualifies.
     """
     violations = 0
     total = 0
-    for a, b in zip(trace, trace[1:]):
-        if a.t < t_start or b.t == a.t or a.sat1 or a.sat2 or b.sat1 or b.sat2:
-            continue
-        total += 1
-        if b.V1_lyap - a.V1_lyap > lyap_tol or b.V2_lyap - a.V2_lyap > lyap_tol:
-            violations += 1
+    for a, b in pairwise(trace):
+        verdict = _pair_verdict(a, b, lyap_tol, t_start)
+        if verdict is not None:
+            total += 1
+            violations += verdict
     return violations / total if total else 0.0
 
 
 def compute_metrics(
-    trace: list[TraceRecord],
+    trace: Iterable[TraceRecord],
     Vref: float,
     band: float = 0.02,
     share_threshold: float = 1e-3,
     lyap_tol: float = 1e-9,
 ) -> RunMetrics:
-    """Reduce a time-sorted trace to RunMetrics.
+    """Reduce a time-sorted trace to RunMetrics in one pass.
 
-    band is the relative voltage tolerance (|Vo - Vref|/Vref), and
-    share_threshold the absolute bound on the per-unit sharing error.
+    trace may be any iterable, a generator included. Each record is dropped
+    once seen, except that (t, |e|, |e2|) is kept while it may still fall in
+    the final tenth of the time span. band is the relative voltage tolerance
+    (|Vo - Vref|/Vref), and share_threshold the absolute bound on the
+    per-unit sharing error.
     """
-    _check_trace(trace)
-
-    settle_v = _settle_time(trace, lambda r: abs(r.Vo - Vref) / Vref < band)
-    settle_share = _settle_time(trace, lambda r: abs(r.e2) < share_threshold)
-
-    t0, t_last = trace[0].t, trace[-1].t
-    window_start = t_last - 0.1 * (t_last - t0)
-    tail = [r for r in trace if r.t >= window_start]
-    ss_voltage = sum(abs(r.e) for r in tail) / len(tail)
-    ss_sharing = sum(abs(r.e2) for r in tail) / len(tail)
-
-    recovery = None
+    # A settle time is a candidate: an outside sample clears it, the next
+    # inside sample sets it, and it stands if no outside sample follows.
+    settle_v = settle_share = None
+    last_outside_v = None
     last_event_t = None
-    for a, b in zip(trace, trace[1:]):
-        if b.R_active != a.R_active:
-            last_event_t = b.t
-    if last_event_t is not None:
-        after = [r for r in trace if r.t >= last_event_t]
-        settled = _settle_time(after, lambda r: abs(r.Vo - Vref) / Vref < band)
-        recovery = None if settled is None else settled - last_event_t
-
+    violations = pairs = 0
     longest = 0.0
-    run_start = None
+    sat_start = None
+    window: deque[tuple[float, float, float]] = deque()
+    prev = None
     for rec in trace:
-        if rec.sat1 or rec.sat2:
-            if run_start is None:
-                run_start = rec.t
-            longest = max(longest, rec.t - run_start)
+        t = rec.t
+        if prev is None:
+            t0 = t
         else:
-            run_start = None
+            if not t >= prev.t:  # also rejects a nan time
+                raise ParbuckError(f"trace must be time-sorted: t={t!r} follows t={prev.t!r}")
+            if rec.R_active != prev.R_active:
+                last_event_t = t
+            verdict = _pair_verdict(prev, rec, lyap_tol, 0.0)
+            if verdict is not None:
+                pairs += 1
+                violations += verdict
+        prev = rec
+
+        if abs(rec.Vo - Vref) / Vref < band:
+            if settle_v is None:
+                settle_v = t
+        else:
+            settle_v = None
+            last_outside_v = t
+        if abs(rec.e2) < share_threshold:
+            if settle_share is None:
+                settle_share = t
+        else:
+            settle_share = None
+
+        if rec.sat1 or rec.sat2:
+            if sat_start is None:
+                sat_start = t
+            longest = max(longest, t - sat_start)
+        else:
+            sat_start = None
+
+        # The final tenth starts no earlier than it would if this record were
+        # the last; the margin covers the rounding of that bound, which moves
+        # it by a few ulps of |t| + |t0|.
+        window.append((t, abs(rec.e), abs(rec.e2)))
+        keep_from = t - 0.1 * (t - t0) - (1e-12 * (abs(t) + abs(t0)) + 1e-300)
+        while window[0][0] < keep_from:
+            window.popleft()
+
+    if prev is None:
+        raise ParbuckError("cannot compute metrics of an empty trace")
+    t_last = prev.t
+    window_start = t_last - 0.1 * (t_last - t0)
+    tail = [(abs_e, abs_e2) for t, abs_e, abs_e2 in window if t >= window_start]
+    ss_voltage = sum(abs_e for abs_e, _ in tail) / len(tail)
+    ss_sharing = sum(abs_e2 for _, abs_e2 in tail) / len(tail)
+
+    # Recovery is the voltage settle time of the records from the last event
+    # on; the first of them is at the event time.
+    recovery = None
+    if last_event_t is not None and settle_v is not None:
+        if last_outside_v is None or last_outside_v < last_event_t:
+            recovery = last_event_t - last_event_t
+        else:
+            recovery = settle_v - last_event_t
 
     return RunMetrics(
         settle_time_v=settle_v,
@@ -132,6 +165,6 @@ def compute_metrics(
         ss_voltage_error=ss_voltage,
         ss_sharing_error=ss_sharing,
         recovery_time=recovery,
-        lyap_violation_fraction=lyapunov_violation_fraction(trace, lyap_tol),
+        lyap_violation_fraction=violations / pairs if pairs else 0.0,
         max_duty_saturation_time=longest,
     )

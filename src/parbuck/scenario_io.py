@@ -11,6 +11,7 @@ canonical document that parses back to an identical Scenario.
 from __future__ import annotations
 
 import math
+from decimal import Decimal, InvalidOperation
 from importlib import resources
 
 from .control import ControlGains
@@ -87,16 +88,28 @@ def _number(table: dict[str, tuple[str, int]], key: str, default: float | None =
         ) from None
 
 
+def _si_number(table: dict[str, tuple[str, int]], key: str, shift: int) -> float:
+    """The value of an engineering-unit entry in SI units, 10**-shift times
+    the written number, rounded once from its decimal digits."""
+    value = _number(table, key)
+    text, lineno = table[key]
+    try:
+        sign, digits, exponent = Decimal(text).as_tuple()
+    except InvalidOperation:  # an exponent beyond the decimal module's range
+        raise ScenarioFormatError(f"{text!r} is out of range", key=key, line=lineno) from None
+    if not isinstance(exponent, int):
+        return value  # nan or inf, which ConverterParams rejects
+    return float(Decimal((sign, digits, exponent - shift)))
+
+
 def _converter(sections, name: str) -> ConverterParams:
     if name not in sections:
         raise ScenarioFormatError(f"missing section [{name}]")
     table = _as_table(sections[name], name, _CONVERTER_KEYS)
     try:
-        # Dividing by the exactly representable 1e3/1e6 gives the correctly
-        # rounded SI value (10 µF becomes the float 1e-5, not a neighbour).
         return ConverterParams(
-            L=_number(table, "L_mH") / 1e3,
-            C=_number(table, "C_uF") / 1e6,
+            L=_si_number(table, "L_mH", 3),
+            C=_si_number(table, "C_uF", 6),
             Vin=_number(table, "Vin_V"),
             Imax=_number(table, "Imax_A"),
         )
@@ -201,27 +214,12 @@ def parse_scenario(text: str) -> Scenario:
     return scenario
 
 
-def _engineering(si_value: float, divisor: float) -> float:
-    """Engineering-unit value whose SI conversion reproduces si_value exactly.
-
-    Parsing converts by dividing by `divisor` (1e3 or 1e6); this searches a
-    few ulps around si_value*divisor for an exact preimage so that
-    parse(format(...)) round-trips bit-for-bit.
-    """
-    guess = si_value * divisor
-    if guess / divisor == si_value:
-        return guess
-    for _ in range(4):
-        lower = math.nextafter(guess, -math.inf)
-        if lower / divisor == si_value:
-            return lower
-        higher = math.nextafter(guess, math.inf)
-        if higher / divisor == si_value:
-            return higher
-        guess = lower if abs(lower / divisor - si_value) < abs(higher / divisor - si_value) else higher
-    raise ScenarioFormatError(
-        f"no engineering-unit representation found for {si_value!r} at scale 1/{divisor!r}"
-    )
+def _engineering(si_value: float, shift: int) -> str:
+    """si_value written in units of 10**-shift: the shortest repr of the SI
+    value with its decimal point moved, which _si_number reads back exactly."""
+    sign, digits, exponent = Decimal(repr(si_value)).as_tuple()
+    value = Decimal((sign, digits, exponent + shift))
+    return f"{value:f}" if -6 <= value.adjusted() < 16 else str(value)
 
 
 def format_scenario(scenario: Scenario) -> str:
@@ -238,8 +236,8 @@ def format_scenario(scenario: Scenario) -> str:
     lines = []
     for name, p in (("converter1", scenario.p1), ("converter2", scenario.p2)):
         lines.append(f"[{name}]")
-        lines.append(f"L_mH = {_engineering(p.L, 1e3)!r}")
-        lines.append(f"C_uF = {_engineering(p.C, 1e6)!r}")
+        lines.append(f"L_mH = {_engineering(p.L, 3)}")
+        lines.append(f"C_uF = {_engineering(p.C, 6)}")
         lines.append(f"Vin_V = {p.Vin!r}")
         lines.append(f"Imax_A = {p.Imax!r}")
         lines.append("")

@@ -9,8 +9,8 @@ diverges or an inductor current leaves continuous conduction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
+from typing import Iterator, NamedTuple
 
 from .control import ControlGains, coupling_constant
 from .errors import CcmViolationError, DivergenceError, ParameterError, ScheduleError
@@ -320,28 +320,36 @@ def rk4_step(
     return PlantState(*new), sat2
 
 
-def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord]:
-    """Integrate the scenario from t=0 to t_end and return the trace.
+def simulate(scenario: Scenario, record_every: int | None = None) -> Iterator[TraceRecord]:
+    """Validate and compile the scenario, then return an iterator over its trace.
 
-    Records the initial sample, every record_every-th step, both sides of
-    every load event (same time and state, old and new resistance) and the
-    final sample. Fails fast with DivergenceError on a non-finite state or
-    CcmViolationError when an inductor current drops below -CCM_TOL.
+    Validation and compilation happen on the call, so a bad scenario raises
+    before any record is produced. The iterator integrates from t=0 to t_end
+    as it is consumed and yields the initial sample, every record_every-th
+    step, both sides of every load event (same time and state, old and new
+    resistance) and the final sample; a consumer that drops each record
+    runs in constant memory. Iterating fails fast with DivergenceError on a
+    non-finite state or CcmViolationError when an inductor current drops
+    below -CCM_TOL.
     """
     validate_scenario(scenario)
     every = scenario.record_every if record_every is None else record_every
     if every < 1:
         raise ParameterError(f"record_every must be >= 1, got {every!r}")
-
-    state = scenario.initial_state
-    iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
     plan = _segments(scenario)
     step_at = _compile(scenario)
     kernels = [step_at(seg.R) for seg in plan]  # (step, record) per segment
+    return _integrate(scenario, every, plan, kernels)
+
+
+def _integrate(scenario: Scenario, every: int, plan, kernels) -> Iterator[TraceRecord]:
+    """The generator simulate() returns: one pass over the segment plan."""
+    state = scenario.initial_state
+    iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
     _, first_record = kernels[0]
-    records = [first_record(0.0, iL1, iL2, Vo, d2, False)]
+    yield first_record(0.0, iL1, iL2, Vo, d2, False)
     if scenario.t_end == 0.0:
-        return records
+        return
 
     dt = scenario.dt
     ccm_floor = -CCM_TOL
@@ -365,15 +373,14 @@ def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord
                 name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
                 raise CcmViolationError(t_next, name, value)
             if steps % every == 0 and t_next != seg_end:
-                records.append(record(t_next, iL1, iL2, Vo, d2, sat2))
+                yield record(t_next, iL1, iL2, Vo, d2, sat2)
         # Segment boundary: either a load event (record both sides) or t_end.
-        records.append(record(seg_end, iL1, iL2, Vo, d2, sat2))
+        yield record(seg_end, iL1, iL2, Vo, d2, sat2)
         if k + 1 < len(kernels):
             _, next_record = kernels[k + 1]
-            records.append(next_record(seg_end, iL1, iL2, Vo, d2, sat2))
-    return records
+            yield next_record(seg_end, iL1, iL2, Vo, d2, sat2)
 
 
-def with_initial_state(scenario: Scenario, state: PlantState, label: str = "custom") -> Scenario:
-    """Copy of the scenario starting from a different state."""
-    return replace(scenario, initial_state=state, init_label=label)
+def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord]:
+    """The whole trace of simulate(scenario, record_every) as a list."""
+    return list(simulate(scenario, record_every))

@@ -16,16 +16,30 @@ CSV_COLUMNS = (
 )
 
 
-def trace_csv_lines(trace: Iterable[TraceRecord]) -> Iterator[str]:
-    """The trace as CSV lines, header first, one row per record, each ending
-    in a newline; a writer can stream them without holding the whole text."""
-    yield ",".join(CSV_COLUMNS) + "\n"
+CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
+
+
+def trace_csv_rows(trace: Iterable[TraceRecord]) -> Iterator[tuple[TraceRecord, str]]:
+    """Each record with its CSV row, the row ending in a newline."""
+    # Records of one load segment share one resistance object: format it once.
+    R = R_text = None
     for r in trace:
-        yield (
+        if r.R_active is not R:
+            R = r.R_active
+            R_text = repr(R)
+        yield r, (
             f"{r.t!r},{r.iL1!r},{r.iL2!r},{r.Vo!r},{r.d1!r},{r.d2!r},{r.d2_dot!r},"
-            f"{r.e!r},{r.e2!r},{r.V1_lyap!r},{r.V2_lyap!r},{r.R_active!r},"
+            f"{r.e!r},{r.e2!r},{r.V1_lyap!r},{r.V2_lyap!r},{R_text},"
             f"{int(r.sat1)},{int(r.sat2)}\n"
         )
+
+
+def trace_csv_lines(trace: Iterable[TraceRecord]) -> Iterator[str]:
+    """The trace as CSV lines, header first, one row per record; a writer can
+    stream them without holding the whole text."""
+    yield CSV_HEADER
+    for _, row in trace_csv_rows(trace):
+        yield row
 
 
 def format_trace_csv(trace: Iterable[TraceRecord]) -> str:

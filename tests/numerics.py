@@ -18,7 +18,6 @@ from parbuck import (
     Scenario,
     equilibrium,
     run,
-    with_initial_state,
 )
 
 
@@ -59,7 +58,9 @@ def perturbed_scenario(base: Scenario, dVo: float, t_end: float, dt: float) -> S
     eq = equilibrium(base.p1, base.p2, base.load_schedule[0].R, base.Vref)
     start = PlantState(eq.iL1, eq.iL2, eq.Vo + dVo, eq.d2)
     return replace(
-        with_initial_state(base, start),
+        base,
+        initial_state=start,
+        init_label="custom",
         load_schedule=base.load_schedule[:1],
         t_end=t_end,
         dt=dt,

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import pytest
 
-from parbuck import bundled_scenario_text, load_scenario, run
+from parbuck import bundled_scenario_text, compute_metrics, load_scenario, run
 from parbuck.cli import (
     EXIT_CCM,
     EXIT_DIVERGENCE,
@@ -34,7 +34,10 @@ def cold_start_scn(tmp_path):
 
 
 def test_run_writes_csv_and_prints_metrics(constant_scn, tmp_path, capsys):
+    """The streamed run replaces an existing file and prints the metrics of
+    the whole trace, as compute_metrics gives them for run()'s list."""
     out = tmp_path / "trace.csv"
+    out.write_text("stale\n")
     code = main(["run", str(constant_scn), "-o", str(out),
                  "--t-end", "0.005", "--record-every", "10"])
     assert code == EXIT_OK
@@ -42,10 +45,13 @@ def test_run_writes_csv_and_prints_metrics(constant_scn, tmp_path, capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     # 5000 steps at cadence 10: initial record + 499 interior + final boundary
     assert len(lines) == 1 + 501
+    assert not (tmp_path / "trace.csv.part").exists()
     captured = capsys.readouterr().out
-    for key in ("settle_time_v", "ss_voltage_error", "ss_sharing_error",
-                "lyap_violation_fraction"):
-        assert key in captured
+    assert "501 records" in captured.splitlines()[0]
+    scenario = replace(load_scenario(str(constant_scn)), t_end=0.005, record_every=10)
+    expected = compute_metrics(run(scenario), scenario.Vref)
+    for name, value in vars(expected).items():
+        assert f"{name:<26}: {'n/a' if value is None else repr(value)}" in captured
     print(captured.splitlines()[0])
 
 
@@ -68,6 +74,33 @@ def test_run_unwritable_output_exits_io(constant_scn, tmp_path, capsys):
                  "--t-end", "0.0"])
     assert code == EXIT_IO
     assert "cannot write" in capsys.readouterr().err
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    assert main(["run", str(constant_scn), "-o", str(directory), "--t-end", "0.0"]) == EXIT_IO
+    assert "cannot write" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.part")) and not any(directory.iterdir())
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier trace\n"], ids=["fresh", "existing"])
+@pytest.mark.parametrize("failure", ["divergence", "ccm"])
+def test_failed_run_leaves_no_partial_csv(constant_scn, cold_start_scn, tmp_path, capsys,
+                                          failure, existing):
+    """A run that fails after writing rows removes its partial file and
+    leaves a file already at the output path as it was."""
+    out = tmp_path / "out.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+    if failure == "divergence":
+        argv, expected = ["run", str(constant_scn), "--dt", "1e100", "--t-end", "1e100"], EXIT_DIVERGENCE
+    else:
+        argv, expected = ["run", str(cold_start_scn)], EXIT_CCM
+    assert main(argv + ["-o", str(out)]) == expected
+    capsys.readouterr()
+    assert not (tmp_path / "out.csv.part").exists()
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
 
 
 def test_run_bad_scenario_exits_parse(tmp_path, capsys):
@@ -119,6 +152,7 @@ def test_validate_rejects_degenerate_pair(constant_scn, tmp_path, capsys):
     assert main(["validate", str(bad)]) == EXIT_PARSE
     assert "guard" in capsys.readouterr().err
     assert main(["run", str(bad), "-o", str(tmp_path / "t.csv")]) == EXIT_PARSE
+    assert not (tmp_path / "t.csv").exists() and not (tmp_path / "t.csv.part").exists()
 
 
 @pytest.mark.parametrize("cadence", ["nan", "1e400"])

@@ -1,8 +1,12 @@
-"""Metrics: settling semantics, tail means, Lyapunov diagnostic, invariances."""
+"""Metrics: settling semantics, tail means, Lyapunov diagnostic, invariances,
+and equality of the one-pass reduction with the multi-pass oracle."""
 
+import tracemalloc
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parbuck import (
     ParbuckError,
@@ -10,7 +14,10 @@ from parbuck import (
     compute_metrics,
     lyapunov_violation_fraction,
     run,
+    simulate,
 )
+
+from multipass_metrics import multipass_metrics, violation_fraction
 
 
 def make_record(
@@ -149,6 +156,127 @@ def test_reversed_trace_rejected():
     trace = list(reversed(flat_trace()))
     with pytest.raises(ParbuckError):
         compute_metrics(trace, Vref=8.0)
+
+
+def test_nan_time_is_not_time_sorted():
+    trace = flat_trace(n=3)
+    trace[1] = make_record(float("nan"))
+    with pytest.raises(ParbuckError, match="time-sorted"):
+        compute_metrics(trace, Vref=8.0)
+
+
+# ── One pass equals the multi-pass oracle ────────────────────────────────────
+
+
+def assert_same_metrics(trace, Vref, **kwargs):
+    """compute_metrics over a generator equals the oracle over the list, bit
+    for bit (repr tells -0.0 from 0.0)."""
+    streamed = compute_metrics((r for r in trace), Vref, **kwargs)
+    assert repr(streamed) == repr(multipass_metrics(trace, Vref, **kwargs))
+    return streamed
+
+
+def _finite(lo, hi):
+    return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
+
+
+# Per sample: time step, load event (< 4), Vo/Vref - 1, e2, V1, V2, saturation.
+_samples = st.tuples(
+    st.sampled_from((0.0, 1e-6, 1e-3)) | _finite(0.0, 0.01),
+    st.integers(0, 15),
+    st.sampled_from((0.0, 0.019, -0.021, 0.3)) | _finite(-0.05, 0.05),
+    st.sampled_from((0.0, 9.99e-4, -1e-3)) | _finite(-3e-3, 3e-3),
+    _finite(0.0, 1.0),
+    _finite(0.0, 1.0),
+    st.integers(0, 5),
+)
+
+
+@st.composite
+def traces(draw):
+    """Time-sorted traces around Vref = 8 V: repeated timestamps, load events
+    (some as the simulator records them, both sides at one time), values on
+    both sides of the voltage and sharing bands, saturation streaks, any t0."""
+    t = draw(st.sampled_from((0.0, 0.05, -1.0, 1e3)) | _finite(-10.0, 10.0))
+    R = 10.0
+    trace = []
+    for i, (dt, event, offset, e2, V1, V2, sat) in enumerate(
+            draw(st.lists(_samples, min_size=1, max_size=40))):
+        if i:
+            t += dt
+        if i and event < 4:
+            if event < 2:
+                trace.append(trace[-1]._replace(t=t))
+            R = (10.0, 15.0, 12.5, 10.0)[event]
+        Vo = 8.0 * (1.0 + offset)
+        trace.append(TraceRecord(
+            t=t, iL1=0.5, iL2=0.2, Vo=Vo, d1=0.5, d2=0.5, d2_dot=0.0, e=8.0 - Vo, e2=e2,
+            V1_lyap=V1, V2_lyap=V2, R_active=R, sat1=sat == 1, sat2=sat == 2,
+        ))
+    return trace
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(traces(), st.sampled_from((0.0, 0.02, 0.5)), st.sampled_from((0.0, 1e-3, 1e-2)),
+       st.sampled_from((1e-9, 0.1)), _finite(-1.0, 1e3))
+def test_one_pass_metrics_equal_the_multipass_oracle(trace, band, threshold, tol, t_start):
+    assert_same_metrics(trace, 8.0, band=band, share_threshold=threshold, lyap_tol=tol)
+    assert (lyapunov_violation_fraction(iter(trace), tol, t_start)
+            == violation_fraction(trace, tol, t_start))
+
+
+@pytest.mark.parametrize("case", [
+    "single", "event_then_inside", "event_then_outside", "event_off_sample", "outside_at_event",
+    "outside_at_end", "outside_in_final_tenth", "late_t0",
+])
+def test_one_pass_metrics_equal_the_oracle_on_edge_cases(case):
+    """The cases the recovery and tail bookkeeping must get right."""
+    base = flat_trace(n=11, dt=0.01)
+    event = [make_record(0.05, R=15.0)]
+    traces = {
+        "single": [make_record(0.3, Vo=7.0, e2=0.1, sat2=True)],
+        "event_then_inside": base[:6] + event + [make_record(0.05 + 0.01 * k, R=15.0)
+                                                 for k in range(1, 5)],
+        "event_then_outside": base[:6] + event + [make_record(0.06, Vo=7.0, R=15.0),
+                                                  make_record(0.07, R=15.0)],
+        "event_off_sample": base[:6] + [make_record(0.055, Vo=7.0, R=15.0),
+                                        make_record(0.06, R=15.0)],
+        "outside_at_event": base[:5] + [make_record(0.05, Vo=7.0),
+                                        make_record(0.05, Vo=7.0, R=15.0),
+                                        make_record(0.06, R=15.0)],
+        "outside_at_end": base[:-1] + [make_record(0.1, Vo=7.0)],
+        "outside_in_final_tenth": base[:-2] + [make_record(0.09, Vo=7.0, e2=0.1),
+                                               make_record(0.1)],
+        "late_t0": [make_record(1e3 + 1e-6 * k, Vo=(7.0 if k % 5 == 0 else 8.0))
+                    for k in range(40)],
+    }
+    m = assert_same_metrics(traces[case], 8.0)
+    print(f"\n  {case}: {m}")
+
+
+def test_one_pass_metrics_equal_the_oracle_on_the_load_step(step_trace):
+    m = assert_same_metrics(step_trace, 8.0)
+    assert m.recovery_time is not None
+
+
+def test_streamed_metrics_keep_a_fraction_of_the_trace_in_memory(step_scenario):
+    """Reducing the records as simulate() yields them peaks under a tenth of
+    the memory of reducing run()'s list: only the final tenth is kept."""
+    scn = replace(step_scenario, record_every=1, t_end=0.01)
+
+    def peak_bytes(make_trace):
+        tracemalloc.start()
+        try:
+            metrics = compute_metrics(make_trace(scn), scn.Vref)
+            return tracemalloc.get_traced_memory()[1], metrics
+        finally:
+            tracemalloc.stop()
+
+    streamed, m_streamed = peak_bytes(simulate)
+    listed, m_listed = peak_bytes(run)
+    print(f"\n  peak: simulate {streamed / 1e6:.3f} MB, run {listed / 1e6:.3f} MB")
+    assert m_streamed == m_listed
+    assert streamed < listed / 10
 
 
 # ── Invariance under subsampling, and regression pins ────────────────────────

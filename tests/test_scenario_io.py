@@ -2,6 +2,7 @@
 
 import math
 import random
+from dataclasses import replace
 
 import pytest
 from hypothesis import assume, given, settings
@@ -84,6 +85,20 @@ init = zero
 """
         first = parse_scenario(text)
         assert parse_scenario(format_scenario(first)) == first
+
+
+@pytest.mark.parametrize("field, value", [
+    ("C", 0.006575291225957155), ("L", 3.3e-4), ("C", 5e-324), ("L", 1.7976931348623157e308),
+])
+def test_any_si_inductance_and_capacitance_can_be_written(constant_scenario, field, value):
+    """An SI value that no mH/uF float maps onto by division is written as
+    its own digits with the decimal point moved, and reads back exactly."""
+    p1 = replace(constant_scenario.p1, **{field: value})
+    scenario = replace(constant_scenario, p1=p1, initial_state=PlantState(0.0, 0.0, 0.0, 0.0),
+                       init_label="zero")
+    text = format_scenario(scenario)
+    print(f"\n  {[line for line in text.splitlines() if line.startswith(field)][0]}")
+    assert parse_scenario(text) == scenario
 
 
 def _mutate(name, pattern, replacement):
@@ -182,9 +197,8 @@ def test_zero_init_starts_dead():
 
 
 def test_custom_initial_state_cannot_be_serialized(constant_scenario):
-    from parbuck import PlantState, with_initial_state
-
-    custom = with_initial_state(constant_scenario, PlantState(1.0, 1.0, 5.0, 0.3))
+    custom = replace(constant_scenario, initial_state=PlantState(1.0, 1.0, 5.0, 0.3),
+                     init_label="custom")
     with pytest.raises(ScenarioFormatError, match="init"):
         format_scenario(custom)
 
@@ -201,12 +215,13 @@ def _finite(lo, hi):
     return st.floats(min_value=lo, max_value=hi, allow_nan=False, allow_infinity=False)
 
 
-# L and C are drawn in the file's units and converted as parsing converts
-# them: x/1e6 skips some floats, so not every SI capacitance has a C_uF that
-# writes it exactly, and format_scenario rejects those.
+# L and C are drawn both in SI units, as a scenario built in code holds them,
+# and in the file's units, converted as a file states them.
 _converters = st.builds(
-    ConverterParams, L=_finite(1e-3, 1e2).map(lambda mH: mH / 1e3),
-    C=_finite(1e-2, 1e4).map(lambda uF: uF / 1e6), Vin=_finite(1.0, 1e3), Imax=_finite(1e-2, 1e2),
+    ConverterParams,
+    L=_finite(1e-6, 1e-1) | _finite(1e-3, 1e2).map(lambda mH: mH / 1e3),
+    C=_finite(1e-8, 1e-2) | _finite(1e-2, 1e4).map(lambda uF: uF / 1e6),
+    Vin=_finite(1.0, 1e3), Imax=_finite(1e-2, 1e2),
 )
 
 
@@ -245,7 +260,8 @@ def test_format_then_parse_is_identity(scenario):
 
 
 _values = st.one_of(
-    st.sampled_from(("nan", "inf", "-inf", "1e400", "1e-321", "-0", "0", "1_0", "0x10", "")),
+    st.sampled_from(("nan", "inf", "-inf", "1e400", "1e-321", "-0", "0", "1_0", "0x10", "",
+                     "1e-99999999999999999999")),
     st.floats().map(repr), st.integers().map(str), st.text(max_size=12),
 )
 

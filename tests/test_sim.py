@@ -29,7 +29,6 @@ from parbuck import (
     rk4_step,
     run,
     validate_scenario,
-    with_initial_state,
 )
 
 import identities
@@ -172,7 +171,8 @@ def test_closed_loop_richardson_fourth_order(constant_scenario):
 def test_rk4_step_divergence_names_time_and_component(constant_scenario):
     """A one-step overflow raises DivergenceError with t and the component."""
     eq = equilibrium(constant_scenario.p1, constant_scenario.p2, 10.0, 8.0)
-    scn = replace(with_initial_state(constant_scenario, eq), t_end=1e100, dt=1e100)
+    scn = replace(constant_scenario, initial_state=eq, init_label="custom", t_end=1e100,
+                  dt=1e100)
     state = PlantState(eq.iL1, eq.iL2, eq.Vo + 1e-6, eq.d2)
     with pytest.raises(DivergenceError) as err:
         step = state
@@ -290,7 +290,8 @@ def test_event_within_rounding_of_start_takes_no_step(step_scenario):
 def test_cold_start_violates_continuous_conduction(constant_scenario):
     """From a dead bus, leg 2's current is pulled negative within microseconds:
     its duty starts at zero, so any bus voltage discharges the inductor."""
-    scn = with_initial_state(constant_scenario, PlantState(0.0, 0.0, 0.0, 0.0), "zero")
+    scn = replace(constant_scenario, initial_state=PlantState(0.0, 0.0, 0.0, 0.0),
+                  init_label="zero")
     with pytest.raises(CcmViolationError) as err:
         run(scn)
     print(f"\n  {err.value}")
@@ -341,7 +342,9 @@ def test_d2_clamp_is_recorded(constant_scenario):
     """A state that drives d2 above 1 gets clamped with the sat2 flag set."""
     start = PlantState(iL1=5.0, iL2=2.0, Vo=0.0, d2=1.0)
     scn = replace(
-        with_initial_state(constant_scenario, start),
+        constant_scenario,
+        initial_state=start,
+        init_label="custom",
         t_end=3e-6,
         record_every=1,
     )
