@@ -32,7 +32,6 @@ from .errors import (
     ParameterError,
     ParbuckError,
     ScenarioFormatError,
-    ScheduleError,
 )
 from .metrics import RunMetrics, compute_metrics, lyapunov_violation_fraction
 from .model import (
@@ -56,13 +55,11 @@ from .sim import (
     LoadStep,
     Scenario,
     TraceRecord,
-    active_load,
-    rk4_step,
     run,
     simulate,
     step_count,
     validate_scenario,
 )
-from .trace_csv import CSV_COLUMNS, format_trace_csv, trace_csv_lines
+from .trace_csv import CSV_COLUMNS, format_trace_csv
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .errors import (
@@ -48,20 +48,9 @@ def _fail(code: int, message: str) -> int:
 
 
 def _print_metrics(metrics: RunMetrics) -> None:
-    def fmt(value):
-        return "n/a" if value is None else repr(value)
-
-    rows = (
-        ("settle_time_v", metrics.settle_time_v),
-        ("settle_time_share", metrics.settle_time_share),
-        ("ss_voltage_error", metrics.ss_voltage_error),
-        ("ss_sharing_error", metrics.ss_sharing_error),
-        ("recovery_time", metrics.recovery_time),
-        ("lyap_violation_fraction", metrics.lyap_violation_fraction),
-        ("max_duty_saturation_time", metrics.max_duty_saturation_time),
-    )
-    for name, value in rows:
-        print(f"{name:<26}: {fmt(value)}")
+    for f in fields(metrics):
+        value = getattr(metrics, f.name)
+        print(f"{f.name:<26}: {'n/a' if value is None else repr(value)}")
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

@@ -21,10 +21,6 @@ class DegenerateConfigError(ParbuckError):
     """The two converters are too similar for the sharing law (|X| below guard)."""
 
 
-class ScheduleError(ParbuckError):
-    """A load schedule is malformed or queried outside its domain."""
-
-
 class DivergenceError(ParbuckError):
     """The integration produced a non-finite value."""
 

@@ -23,9 +23,7 @@ BUNDLED_SCENARIOS = ("constant_load", "load_step")
 
 _CONVERTER_KEYS = ("L_mH", "C_uF", "Vin_V", "Imax_A")
 _CONTROL_KEYS = ("k1", "k2", "duty_min", "duty_max", "x_guard")
-_CONTROL_REQUIRED = ("k1", "k2")
 _SIM_KEYS = ("Vref_V", "dt_s", "t_end_s", "record_every", "init")
-_SIM_REQUIRED = ("Vref_V",)
 _SECTIONS = ("converter1", "converter2", "control", "load", "sim")
 _INIT_LABELS = ("zero", "equilibrium")
 
@@ -103,8 +101,6 @@ def _si_number(table: dict[str, tuple[str, int]], key: str, shift: int) -> float
 
 
 def _converter(sections, name: str) -> ConverterParams:
-    if name not in sections:
-        raise ScenarioFormatError(f"missing section [{name}]")
     table = _as_table(sections[name], name, _CONVERTER_KEYS)
     try:
         return ConverterParams(
@@ -128,9 +124,6 @@ def parse_scenario(text: str) -> Scenario:
     p2 = _converter(sections, "converter2")
 
     control = _as_table(sections["control"], "control", _CONTROL_KEYS)
-    for key in _CONTROL_REQUIRED:
-        if key not in control:
-            raise ScenarioFormatError("missing required key", key=key)
     try:
         gains = ControlGains(
             k1=_number(control, "k1"),
@@ -161,9 +154,6 @@ def parse_scenario(text: str) -> Scenario:
         raise ScenarioFormatError("section [load] must contain at least one entry")
 
     sim_table = _as_table(sections["sim"], "sim", _SIM_KEYS)
-    for key in _SIM_REQUIRED:
-        if key not in sim_table:
-            raise ScenarioFormatError("missing required key", key=key)
     vref = _number(sim_table, "Vref_V")
     dt = _number(sim_table, "dt_s", 1e-6)
     t_end = _number(sim_table, "t_end_s", 0.1)

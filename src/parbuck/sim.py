@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Iterator, NamedTuple
 
 from .control import ControlGains, coupling_constant
-from .errors import CcmViolationError, DivergenceError, ParameterError, ScheduleError
+from .errors import CcmViolationError, DivergenceError, ParameterError
 from .model import ConverterParams, PlantState
 
 # Inductor current below -CCM_TOL amperes counts as a genuine loss of
@@ -23,8 +23,6 @@ CCM_TOL = 1e-9
 # Most integration steps, ceil(t_end/dt), a scenario may ask for: at a few
 # microseconds per step that is minutes of work, not days.
 MAX_STEPS = 10**8
-
-_STATE_FIELDS = ("iL1", "iL2", "Vo", "d2")
 
 
 class LoadStep(NamedTuple):
@@ -125,22 +123,6 @@ def validate_scenario(scenario: Scenario) -> None:
     coupling_constant(s.p1, s.p2, s.gains.x_guard)
 
 
-def active_load(load_schedule: tuple[LoadStep, ...], t: float) -> float:
-    """Resistance in effect at time t (closed-left: a step's time belongs to it)."""
-    if not load_schedule or t < load_schedule[0].time:
-        raise ScheduleError(
-            f"t={t!r} s precedes the first load entry"
-            + (f" at t={load_schedule[0].time!r} s" if load_schedule else "")
-        )
-    R = load_schedule[0].R
-    for entry in load_schedule:
-        if entry.time <= t:
-            R = entry.R
-        else:
-            break
-    return R
-
-
 class _Segment(NamedTuple):
     """A stretch of constant load: n_full steps of dt, then one remainder step
     when remainder > 0, so that the segment ends exactly at `end`."""
@@ -188,7 +170,8 @@ def _compile(scenario: Scenario):
 
     Returns ``step_at(R)``, which gives the step function and the record
     builder at load ``R``:
-    ``step(t, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)`` and
+    ``step(t_next, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)``, one
+    step of length h that ends at time t_next, and
     ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord``. Both run over four
     floats with the scenario's constants bound once. The record evaluates
     controller_step, the step controller_step followed by plant_derivatives,
@@ -200,7 +183,7 @@ def _compile(scenario: Scenario):
     slope enters the final sum linearly, so a finite new state means every
     stage was finite. d2 is checked before it is clamped to [0, 1], since
     the clamp would absorb an inf; sat2 reports whether the clamp changed it.
-    Raises DivergenceError at t + h naming the first non-finite component.
+    Raises DivergenceError at t_next naming the first non-finite component.
     """
     p1, p2, gains = scenario.p1, scenario.p2, scenario.gains
     L1, Vin1, Imax1 = p1.L, p1.Vin, p1.Imax
@@ -240,7 +223,7 @@ def _compile(scenario: Scenario):
             d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
             return (d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot
 
-        def step(t, h, iL1, iL2, Vo, d2):
+        def step(t_next, h, iL1, iL2, Vo, d2):
             half = 0.5 * h
             a1, b1, c1, q1 = f(iL1, iL2, Vo, d2)
             a2, b2, c2, q2 = f(iL1 + half * a1, iL2 + half * b1, Vo + half * c1, d2 + half * q1)
@@ -249,14 +232,14 @@ def _compile(scenario: Scenario):
             sixth = h / 6.0
             d2 = d2 + sixth * (q1 + 2.0 * (q2 + q3) + q4)
             if not isfinite(d2):
-                raise DivergenceError(t + h, "d2")
+                raise DivergenceError(t_next, "d2")
             iL1 = iL1 + sixth * (a1 + 2.0 * (a2 + a3) + a4)
             iL2 = iL2 + sixth * (b1 + 2.0 * (b2 + b3) + b4)
             Vo = Vo + sixth * (c1 + 2.0 * (c2 + c3) + c4)
             if not (isfinite(iL1) and isfinite(iL2) and isfinite(Vo)):
                 for name, value in (("iL1", iL1), ("iL2", iL2), ("Vo", Vo)):
                     if not isfinite(value):
-                        raise DivergenceError(t + h, name)
+                        raise DivergenceError(t_next, name)
             if d2 < 0.0:
                 return iL1, iL2, Vo, 0.0, True
             if d2 > 1.0:
@@ -297,30 +280,7 @@ def _compile(scenario: Scenario):
     return step_at
 
 
-def rk4_step(
-    state: PlantState,
-    t: float,
-    dt: float,
-    scenario: Scenario,
-) -> tuple[PlantState, bool]:
-    """Advance one classical Runge-Kutta step of the closed loop.
-
-    The controller is re-evaluated on every stage state. The load is resolved
-    at the step's start time and held for all stages; run() shortens steps so
-    load events always land on step boundaries. d2 is clamped to [0, 1] after
-    the step; the returned flag reports whether the clamp changed it.
-    Raises DivergenceError when the state or the new state is non-finite.
-    This is the kernel run() uses, compiled for a single step.
-    """
-    for name in _STATE_FIELDS:
-        if not math.isfinite(getattr(state, name)):
-            raise DivergenceError(t + dt, name)
-    step, _ = _compile(scenario)(active_load(scenario.load_schedule, t))
-    *new, sat2 = step(t, dt, state.iL1, state.iL2, state.Vo, state.d2)
-    return PlantState(*new), sat2
-
-
-def simulate(scenario: Scenario, record_every: int | None = None) -> Iterator[TraceRecord]:
+def simulate(scenario: Scenario) -> Iterator[TraceRecord]:
     """Validate and compile the scenario, then return an iterator over its trace.
 
     Validation and compilation happen on the call, so a bad scenario raises
@@ -333,16 +293,13 @@ def simulate(scenario: Scenario, record_every: int | None = None) -> Iterator[Tr
     below -CCM_TOL.
     """
     validate_scenario(scenario)
-    every = scenario.record_every if record_every is None else record_every
-    if every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {every!r}")
     plan = _segments(scenario)
     step_at = _compile(scenario)
     kernels = [step_at(seg.R) for seg in plan]  # (step, record) per segment
-    return _integrate(scenario, every, plan, kernels)
+    return _integrate(scenario, plan, kernels)
 
 
-def _integrate(scenario: Scenario, every: int, plan, kernels) -> Iterator[TraceRecord]:
+def _integrate(scenario: Scenario, plan, kernels) -> Iterator[TraceRecord]:
     """The generator simulate() returns: one pass over the segment plan."""
     state = scenario.initial_state
     iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
@@ -351,7 +308,7 @@ def _integrate(scenario: Scenario, every: int, plan, kernels) -> Iterator[TraceR
     if scenario.t_end == 0.0:
         return
 
-    dt = scenario.dt
+    dt, every = scenario.dt, scenario.record_every
     ccm_floor = -CCM_TOL
     sat2 = False
     steps = 0
@@ -359,15 +316,9 @@ def _integrate(scenario: Scenario, every: int, plan, kernels) -> Iterator[TraceR
         step, record = kernels[k]
         n_sub = n_full + (remainder > 0.0)
         for i in range(1, n_sub + 1):
-            if i <= n_full:
-                t_prev = seg_start + (i - 1) * dt
-                h = dt
-                t_next = seg_end if i == n_sub else seg_start + i * dt
-            else:
-                t_prev = seg_start + n_full * dt
-                h = remainder
-                t_next = seg_end
-            iL1, iL2, Vo, d2, sat2 = step(t_prev, h, iL1, iL2, Vo, d2)
+            h = dt if i <= n_full else remainder
+            t_next = seg_end if i == n_sub else seg_start + i * dt
+            iL1, iL2, Vo, d2, sat2 = step(t_next, h, iL1, iL2, Vo, d2)
             steps += 1
             if iL1 < ccm_floor or iL2 < ccm_floor:
                 name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
@@ -381,6 +332,6 @@ def _integrate(scenario: Scenario, every: int, plan, kernels) -> Iterator[TraceR
             yield next_record(seg_end, iL1, iL2, Vo, d2, sat2)
 
 
-def run(scenario: Scenario, record_every: int | None = None) -> list[TraceRecord]:
-    """The whole trace of simulate(scenario, record_every) as a list."""
-    return list(simulate(scenario, record_every))
+def run(scenario: Scenario) -> list[TraceRecord]:
+    """The whole trace of simulate(scenario) as a list."""
+    return list(simulate(scenario))

@@ -34,14 +34,6 @@ def trace_csv_rows(trace: Iterable[TraceRecord]) -> Iterator[tuple[TraceRecord, 
         )
 
 
-def trace_csv_lines(trace: Iterable[TraceRecord]) -> Iterator[str]:
-    """The trace as CSV lines, header first, one row per record; a writer can
-    stream them without holding the whole text."""
-    yield CSV_HEADER
-    for _, row in trace_csv_rows(trace):
-        yield row
-
-
 def format_trace_csv(trace: Iterable[TraceRecord]) -> str:
-    """The whole trace as CSV text, one row per record."""
-    return "".join(trace_csv_lines(trace))
+    """The whole trace as CSV text, header first, one row per record."""
+    return CSV_HEADER + "".join(row for _, row in trace_csv_rows(trace))

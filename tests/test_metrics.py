@@ -285,8 +285,8 @@ def test_streamed_metrics_keep_a_fraction_of_the_trace_in_memory(step_scenario):
 def test_metrics_stable_under_subsampling(step_scenario):
     """record_every 1 vs 2 moves times by at most one coarse sample period."""
     scn = replace(step_scenario, t_end=0.06)
-    fine = compute_metrics(run(scn, record_every=1), Vref=8.0)
-    coarse = compute_metrics(run(scn, record_every=2), Vref=8.0)
+    fine = compute_metrics(run(replace(scn, record_every=1)), Vref=8.0)
+    coarse = compute_metrics(run(replace(scn, record_every=2)), Vref=8.0)
     period = 2 * scn.dt
     print(f"\n  fine:   {fine}")
     print(f"  coarse: {coarse}")

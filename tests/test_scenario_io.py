@@ -108,9 +108,14 @@ def _mutate(name, pattern, replacement):
 
 
 def test_missing_required_key_is_named():
-    text = _mutate("constant_load", "k1 = 1\n", "")
-    with pytest.raises(ScenarioFormatError, match="k1"):
-        parse_scenario(text)
+    for key, line in (
+        ("k1", "k1 = 1\n"), ("k2", "k2 = 1\n"), ("Vref_V", "Vref_V = 8\n"),
+        ("L_mH", "L_mH = 1\n"), ("C_uF", "C_uF = 10\n"), ("Vin_V", "Vin_V = 16\n"),
+        ("Imax_A", "Imax_A = 5\n"),
+    ):
+        with pytest.raises(ScenarioFormatError, match=key) as exc:
+            parse_scenario(_mutate("constant_load", line, ""))
+        assert exc.value.key == key
 
 
 def test_unknown_key_is_rejected():

@@ -18,18 +18,16 @@ from parbuck import (
     PlantState,
     Scenario,
     ScenarioFormatError,
-    ScheduleError,
-    active_load,
     bundled_scenario_text,
     controller_step,
     equilibrium,
     format_trace_csv,
     parse_scenario,
     plant_derivatives,
-    rk4_step,
     run,
     validate_scenario,
 )
+from parbuck.sim import _compile
 
 import identities
 import numerics
@@ -102,7 +100,14 @@ def _kernel_cases():
             yield scn, identities.exposed_sample(exposed_rng, p1, p2, gains, R, vref)
 
 
-def test_rk4_step_equals_generic_kernel():
+def _kernel_step(scn: Scenario, state: PlantState, dt: float) -> tuple:
+    """One step of length dt from t=0 through the compiled kernel that
+    simulate() runs, at the scenario's first load: (iL1, iL2, Vo, d2, sat2)."""
+    step, _ = _compile(scn)(scn.load_schedule[0].R)
+    return step(dt, dt, state.iL1, state.iL2, state.Vo, state.d2)
+
+
+def test_kernel_step_equals_generic_kernel():
     """The compiled step reproduces the readable oracle bit for bit.
 
     The oracle's d2 is clamped to [0, 1] before the comparison, and sat2
@@ -112,8 +117,8 @@ def test_rk4_step_equals_generic_kernel():
     for scn, state in _kernel_cases():
         *currents_and_vo, d2 = _oracle_step(scn, state)
         clamped = min(max(d2, 0.0), 1.0)
-        stepped, sat2 = rk4_step(state, 0.0, scn.dt, scn)
-        assert (stepped.iL1, stepped.iL2, stepped.Vo, stepped.d2) == (*currents_and_vo, clamped)
+        *stepped, sat2 = _kernel_step(scn, state, scn.dt)
+        assert tuple(stepped) == (*currents_and_vo, clamped)
         assert sat2 == (clamped != d2)
         R = scn.load_schedule[0].R
         n += 1
@@ -144,14 +149,14 @@ def test_compiled_record_equals_controller_step():
     assert 20 <= d1_saturated <= n - 20
 
 
-def test_rk4_step_preserves_equilibrium(constant_scenario):
+def test_kernel_step_preserves_equilibrium(constant_scenario):
     """The analytic fixed point survives a step to 1e-12 relative."""
     eq = equilibrium(constant_scenario.p1, constant_scenario.p2, 10.0, 8.0)
     for dt in (1e-6, 1e-5, 1e-3):
-        new, sat2 = rk4_step(eq, 0.0, dt, constant_scenario)
+        *new, sat2 = _kernel_step(constant_scenario, eq, dt)
         assert not sat2
-        for name in ("iL1", "iL2", "Vo", "d2"):
-            before, after = getattr(eq, name), getattr(new, name)
+        for name, after in zip(("iL1", "iL2", "Vo", "d2"), new):
+            before = getattr(eq, name)
             assert after == pytest.approx(before, rel=1e-12), f"{name} moved at dt={dt}"
 
 
@@ -168,19 +173,20 @@ def test_closed_loop_richardson_fourth_order(constant_scenario):
     assert ratio >= 8.0
 
 
-def test_rk4_step_divergence_names_time_and_component(constant_scenario):
-    """A one-step overflow raises DivergenceError with t and the component."""
+def test_kernel_step_divergence_names_time_and_component(constant_scenario):
+    """An overflow raises DivergenceError naming the component and the end
+    time of the step that overflowed, as passed to the kernel."""
     eq = equilibrium(constant_scenario.p1, constant_scenario.p2, 10.0, 8.0)
-    scn = replace(constant_scenario, initial_state=eq, init_label="custom", t_end=1e100,
-                  dt=1e100)
-    state = PlantState(eq.iL1, eq.iL2, eq.Vo + 1e-6, eq.d2)
+    step, _ = _compile(constant_scenario)(10.0)
+    dt = 1e100
+    state = (eq.iL1, eq.iL2, eq.Vo + 1e-6, eq.d2)
     with pytest.raises(DivergenceError) as err:
-        step = state
-        for i in range(1000):
-            step, _ = rk4_step(step, i * scn.dt, scn.dt, scn)
+        for i in range(1, 1001):
+            t_next = i * dt
+            *state, _ = step(t_next, dt, *state)
     print(f"\n  {err.value}")
     assert err.value.component in ("iL1", "iL2", "Vo", "d2")
-    assert err.value.t > 0.0
+    assert err.value.t == t_next
 
 
 def _reference_sha256(workload: str) -> str:
@@ -199,27 +205,6 @@ def test_dense_load_step_trace_matches_bench_reference(step_scenario):
     of the event) gives the CSV stored with the benchmark, byte for byte."""
     csv = format_trace_csv(run(replace(step_scenario, record_every=1))).encode("utf-8")
     assert hashlib.sha256(csv).hexdigest() == _reference_sha256("dense_trace")
-
-
-# ── Load schedule ─────────────────────────────────────────────────────────────
-
-
-def test_active_load_before_and_after_step():
-    schedule = (LoadStep(0.0, 10.0), LoadStep(0.05, 15.0))
-    assert active_load(schedule, 0.049) == 10.0
-    assert active_load(schedule, 0.05) == 15.0  # boundary belongs to the new value
-    assert active_load(schedule, 0.3) == 15.0
-
-
-def test_active_load_single_entry():
-    schedule = (LoadStep(0.0, 10.0),)
-    for t in (0.0, 0.1, 99.0):
-        assert active_load(schedule, t) == 10.0
-
-
-def test_active_load_rejects_time_before_schedule():
-    with pytest.raises(ScheduleError):
-        active_load((LoadStep(0.0, 10.0),), -1e-9)
 
 
 # ── Run loop ──────────────────────────────────────────────────────────────────
