@@ -18,22 +18,22 @@ set datafile separator ","
 set key autotitle columnhead
 set grid
 set xlabel "t [s]"
-set multiplot layout 2,2 title "{csv_path}"
+set multiplot layout 2,2 title {csv_literal}
 
 set ylabel "Vo [V]"
-plot "{csv_path}" using (column("t")):(column("Vo")) with lines title "output voltage"
+plot {csv_literal} using (column("t")):(column("Vo")) with lines title "output voltage"
 
 set ylabel "iL1/Imax1 - iL2/Imax2"
-plot "{csv_path}" using (column("t")):(column("e2")) with lines title "per-unit sharing error"
+plot {csv_literal} using (column("t")):(column("e2")) with lines title "per-unit sharing error"
 
 set ylabel "inductor current [A]"
-plot "{csv_path}" using (column("t")):(column("iL1")) with lines title "iL1", \\
-     "{csv_path}" using (column("t")):(column("iL2")) with lines title "iL2"
+plot {csv_literal} using (column("t")):(column("iL1")) with lines title "iL1", \\
+     {csv_literal} using (column("t")):(column("iL2")) with lines title "iL2"
 
 set ylabel "duty cycle"
 set yrange [-0.05:1.05]
-plot "{csv_path}" using (column("t")):(column("d1")) with lines title "d1", \\
-     "{csv_path}" using (column("t")):(column("d2")) with lines title "d2"
+plot {csv_literal} using (column("t")):(column("d1")) with lines title "d1", \\
+     {csv_literal} using (column("t")):(column("d2")) with lines title "d2"
 set yrange [*:*]
 
 unset multiplot
@@ -62,4 +62,13 @@ def emit_plot_script(csv_path: str, script_name: str = "trace.gp") -> str:
                 f"{csv_path}: header is missing column {required!r} "
                 f"(found: {', '.join(columns)})"
             )
-    return _TEMPLATE.format(csv_path=csv_path, script_name=script_name)
+    return _TEMPLATE.format(csv_literal=_gnuplot_string(csv_path), script_name=script_name)
+
+
+def _gnuplot_string(text: str) -> str:
+    """text as a gnuplot single-quoted string literal.
+
+    In single quotes gnuplot takes backslashes and double quotes literally;
+    a single quote is written twice.
+    """
+    return "'" + text.replace("'", "''") + "'"

@@ -10,18 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain, islice
 from typing import Iterator, NamedTuple
 
 from .control import ControlGains, coupling_constant
 from .errors import CcmViolationError, DivergenceError, ParameterError
-from .model import ConverterParams, PlantState
+from .model import ConverterParams, PlantState, equilibrium
 
 # Inductor current below -CCM_TOL amperes counts as a genuine loss of
 # continuous conduction rather than integration noise.
 CCM_TOL = 1e-9
 
-# Most integration steps, ceil(t_end/dt), a scenario may ask for: at a few
-# microseconds per step that is minutes of work, not days.
+# Most integration steps, ceil(t_end/dt), a scenario may ask for: at about
+# two microseconds per step that is minutes of work, not days.
 MAX_STEPS = 10**8
 
 
@@ -134,27 +135,30 @@ class _Segment(NamedTuple):
     remainder: float
 
 
-def _segments(scenario: Scenario) -> list[_Segment]:
-    """The segment plan of a validated scenario, the one run() integrates.
+def _segments(scenario: Scenario) -> Iterator[_Segment]:
+    """The segment plan of a validated scenario, the one run() integrates,
+    generated one segment at a time.
 
     Validation makes the schedule start at t=0 and strictly increase, so the
     entries before t_end split the run into segments of constant load.
     """
     schedule, t_end, dt = scenario.load_schedule, scenario.t_end, scenario.dt
-    events = [e for e in schedule[1:] if e.time < t_end]
-    ends = [e.time for e in events] + [t_end]
-    loads = [schedule[0].R] + [e.R for e in events]
-    plan = []
-    start = 0.0
-    for end, R in zip(ends, loads):
+
+    def segment(start, end, R):
         seg_len = end - start
         n_full = int(math.floor(seg_len / dt + 1e-9))
         remainder = seg_len - n_full * dt
         if remainder <= dt * 1e-9:
             remainder = 0.0
-        plan.append(_Segment(start, end, R, n_full, remainder))
-        start = end
-    return plan
+        return _Segment(start, end, R, n_full, remainder)
+
+    start, R = 0.0, schedule[0].R
+    for entry in islice(schedule, 1, None):
+        if entry.time >= t_end:
+            break
+        yield segment(start, entry.time, R)
+        start, R = entry.time, entry.R
+    yield segment(start, t_end, R)
 
 
 def step_count(scenario: Scenario) -> int:
@@ -165,6 +169,69 @@ def step_count(scenario: Scenario) -> int:
     return sum(seg.n_full + (seg.remainder > 0.0) for seg in _segments(scenario))
 
 
+class _Affine:
+    """An affine form c[0]*u0 + c[1]*u1 + c[2]*u2 + c[3]*u3 + c[4] in the
+    deviation u = (iL1, iL2, Vo, d2) - x* of the state from an expansion point.
+
+    It supports the float operations of the closed-loop expression chain, so
+    that chain, run over forms, gives its exact affine expansion. The
+    constant term follows the same float operations as the chain at x*.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c):
+        self.c = c
+
+    def __add__(self, other):
+        a0, a1, a2, a3, a4 = self.c
+        if type(other) is _Affine:
+            b0, b1, b2, b3, b4 = other.c
+            return _Affine((a0 + b0, a1 + b1, a2 + b2, a3 + b3, a4 + b4))
+        return _Affine((a0, a1, a2, a3, a4 + other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        a0, a1, a2, a3, a4 = self.c
+        return _Affine((-a0, -a1, -a2, -a3, -a4))
+
+    # a - b is a + (-b) exactly in IEEE arithmetic.
+    def __sub__(self, other):
+        return self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, k):
+        a0, a1, a2, a3, a4 = self.c
+        return _Affine((a0 * k, a1 * k, a2 * k, a3 * k, a4 * k))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, k):
+        a0, a1, a2, a3, a4 = self.c
+        return _Affine((a0 / k, a1 / k, a2 / k, a3 / k, a4 / k))
+
+    def of(self, forms):
+        """This form with u replaced by four forms that are affine in u."""
+        c0, c1, c2, c3, c4 = self.c
+        f0, f1, f2, f3 = (f.c for f in forms)
+        *linear, const = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(f0, f1, f2, f3)]
+        return _Affine((*linear, const + c4))
+
+    def at(self, u0, u1, u2, u3):
+        c0, c1, c2, c3, c4 = self.c
+        return c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4
+
+
+# The deviation u itself, one form per state component.
+_DEVIATION = tuple(
+    _Affine(tuple(float(i == j) for j in range(5))) for i in range(4)
+)
+_LOW, _INTERIOR, _HIGH = 0, 1, 2  # regime of the d1 clamp at one RK4 stage
+
+
 def _compile(scenario: Scenario):
     """Compile the closed loop of one scenario into a fixed-step RK4 kernel.
 
@@ -172,24 +239,37 @@ def _compile(scenario: Scenario):
     builder at load ``R``:
     ``step(t_next, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)``, one
     step of length h that ends at time t_next, and
-    ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord``. Both run over four
-    floats with the scenario's constants bound once. The record evaluates
-    controller_step, the step controller_step followed by plant_derivatives,
-    expression by expression, in their order and with their operands, so
-    they reproduce them bit for bit. Only subexpressions that those functions compute from
-    the same operands in the same order are shared.
+    ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord``.
 
-    Non-finiteness is checked once per step, on the new state: every stage
-    slope enters the final sum linearly, so a finite new state means every
-    stage was finite. d2 is checked before it is clamped to [0, 1], since
-    the clamp would absorb an inf; sat2 reports whether the clamp changed it.
-    Raises DivergenceError at t_next naming the first non-finite component.
+    At a fixed load, with d1 either interior or clamped at one of its
+    bounds, the closed loop is affine in the state, so a classical RK4 step
+    is exactly an affine map, chosen by the d1 regime at each of its four
+    stages. step_at evaluates the controller_step -> plant_derivatives
+    expression chain once per regime over affine forms about
+    x* = equilibrium(p1, p2, R, Vref), and composes four stages into the
+    raw-d1 guard of each stage and a 4x5 state map in u = x - x*. A step
+    whose four guards of the all-interior map at h = dt lie inside the duty
+    bounds applies that map; any other step resolves the regimes stage by
+    stage, building each map it meets once per (h, regime sequence). About
+    x* the constant terms come only from the field's rounding residual at
+    x*, so a step from the analytic fixed point leaves it in place (bit for
+    bit on the bundled scenarios, for dt up to 1e-3). The result equals the
+    scalar RK4 of controller_step and plant_derivatives to rounding, not
+    bit for bit.
+
+    The record evaluates controller_step expression by expression, in its
+    order and with its operands, so it reproduces it bit for bit.
+
+    Non-finiteness is checked once per step, on the new state. d2 is checked
+    before it is clamped to [0, 1], since the clamp would absorb an inf;
+    sat2 reports whether the clamp changed it. Raises DivergenceError at
+    t_next naming the first non-finite component.
     """
     p1, p2, gains = scenario.p1, scenario.p2, scenario.gains
     L1, Vin1, Imax1 = p1.L, p1.Vin, p1.Imax
     L2, Vin2, Imax2 = p2.L, p2.Vin, p2.Imax
     k1, k2, duty_min, duty_max = gains.k1, gains.k2, gains.duty_min, gains.duty_max
-    Vref = scenario.Vref
+    Vref, dt = scenario.Vref, scenario.dt
     Ctot = p1.C + p2.C
     IL1 = Imax1 * L1
     IL2 = Imax2 * L2
@@ -197,45 +277,111 @@ def _compile(scenario: Scenario):
     X = coupling_constant(p1, p2, gains.x_guard)
     isfinite = math.isfinite
 
-    def step_at(R: float):
-        Vref_R = Vref / R
-
-        def f(iL1, iL2, Vo, d2):
-            # controller_step, then plant_derivatives. The plant's diL2 and
-            # dVo are the controller's diL2_dt and vo_dot: same operands.
-            Vo_R = Vo / R
-            e = Vref - Vo
-            e_dot = (Vo_R - iL1 - iL2) / Ctot
-            diL2 = (d2 * Vin2 - Vo) / L2
-            i_tilde = Vref_R - iL2 + k1 * e - iL1
-            w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
-            d1 = (L1 * w + Vo) / Vin1
-            if duty_min > d1:
-                d1 = duty_min
-            if duty_max < d1:
-                d1 = duty_max
-            e2 = iL1 / Imax1 - iL2 / Imax2
+    def closed_loop(R, iL1, iL2, Vo, d2):
+        """controller_step then plant_derivatives over affine forms: the raw
+        d1 command and the state slopes in each d1 regime, low first."""
+        Vo_R = Vo / R
+        e = Vref - Vo
+        e_dot = (Vo_R - iL1 - iL2) / Ctot
+        diL2 = (d2 * Vin2 - Vo) / L2
+        i_tilde = Vref / R - iL2 + k1 * e - iL1
+        w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
+        raw = (L1 * w + Vo) / Vin1
+        e2 = iL1 / Imax1 - iL2 / Imax2
+        share2 = d2 * Vin2 / IL2
+        dVo = (iL1 + iL2 - Vo_R) / Ctot
+        slopes = []
+        for d1 in (duty_min, raw, duty_max):
             share1 = d1 * Vin1 / IL1
-            share2 = d2 * Vin2 / IL2
             v_tilde = (-share1 + share2 - k2 * e2) / X - Vo
-            dVo = (iL1 + iL2 - Vo_R) / Ctot
             e2_dot = share1 - share2 + Vo * X
             d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
-            return (d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot
+            slopes.append(((d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot))
+        return raw, slopes
+
+    def step_at(R: float):
+        Vref_R = Vref / R
+        star = equilibrium(p1, p2, R, Vref)
+        s0, s1, s2, s3 = star.iL1, star.iL2, star.Vo, star.d2
+        raw_d1, fields = closed_loop(
+            R, *(u + x for u, x in zip(_DEVIATION, (s0, s1, s2, s3)))
+        )
+        stages = {}  # (h, regimes so far) -> (next stage's input, slopes, guard)
+        maps = {}  # (h, regimes of all four stages) -> state map
+
+        def stage(h, regimes):
+            # Callers go through the prefixes of a sequence in order, so the
+            # stage before this one is always built.
+            got = stages.get((h, regimes))
+            if got is None:
+                if regimes:
+                    inputs, slopes, _ = stages[(h, regimes[:-1])]
+                    k = [row.of(inputs) for row in fields[regimes[-1]]]
+                    c = 0.5 * h if len(regimes) < 3 else h
+                    inputs, slopes = [u + c * ki for u, ki in zip(_DEVIATION, k)], slopes + (k,)
+                else:
+                    inputs, slopes = _DEVIATION, ()
+                got = stages[(h, regimes)] = (inputs, slopes, raw_d1.of(inputs))
+            return got
+
+        def state_map(h, regimes):
+            got = maps.get((h, regimes))
+            if got is None:
+                inputs, slopes, _ = stage(h, regimes[:3])
+                slopes += ([row.of(inputs) for row in fields[regimes[3]]],)
+                sixth = h / 6.0
+                # A list, not tuple() over a generator: CPython allocates
+                # that tuple oversized and shrinks it, so each one freed
+                # leaves one more parked on the 4-tuple free list (up to
+                # 2000), and a long schedule's memory would grow with it.
+                got = maps[(h, regimes)] = [
+                    u + sixth * (a + 2.0 * (b + c) + d)
+                    for u, a, b, c, d in zip(_DEVIATION, *slopes)
+                ]
+            return got
+
+        def resolve(h, u0, u1, u2, u3):
+            """The state map for the d1 regimes that u meets at each stage."""
+            regimes = ()
+            for _ in range(4):
+                d1 = stage(h, regimes)[2].at(u0, u1, u2, u3)
+                regimes += (_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR,)
+            return state_map(h, regimes)
+
+        interior = (_INTERIOR,) * 4
+        (g10, g11, g12, g13, g14), (g20, g21, g22, g23, g24), \
+            (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = (
+                stage(dt, interior[:n])[2].c for n in range(4)
+            )
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
+            (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = (
+                form.c for form in state_map(dt, interior)
+            )
 
         def step(t_next, h, iL1, iL2, Vo, d2):
-            half = 0.5 * h
-            a1, b1, c1, q1 = f(iL1, iL2, Vo, d2)
-            a2, b2, c2, q2 = f(iL1 + half * a1, iL2 + half * b1, Vo + half * c1, d2 + half * q1)
-            a3, b3, c3, q3 = f(iL1 + half * a2, iL2 + half * b2, Vo + half * c2, d2 + half * q2)
-            a4, b4, c4, q4 = f(iL1 + h * a3, iL2 + h * b3, Vo + h * c3, d2 + h * q3)
-            sixth = h / 6.0
-            d2 = d2 + sixth * (q1 + 2.0 * (q2 + q3) + q4)
+            u0 = iL1 - s0
+            u1 = iL2 - s1
+            u2 = Vo - s2
+            u3 = d2 - s3
+            if (
+                h == dt
+                and duty_min <= g10 * u0 + g11 * u1 + g12 * u2 + g13 * u3 + g14 <= duty_max
+                and duty_min <= g20 * u0 + g21 * u1 + g22 * u2 + g23 * u3 + g24 <= duty_max
+                and duty_min <= g30 * u0 + g31 * u1 + g32 * u2 + g33 * u3 + g34 <= duty_max
+                and duty_min <= g40 * u0 + g41 * u1 + g42 * u2 + g43 * u3 + g44 <= duty_max
+            ):
+                iL1 = s0 + (a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 + a4)
+                iL2 = s1 + (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4)
+                Vo = s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4)
+                d2 = s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4)
+            else:
+                m0, m1, m2, m3 = resolve(h, u0, u1, u2, u3)
+                iL1 = s0 + m0.at(u0, u1, u2, u3)
+                iL2 = s1 + m1.at(u0, u1, u2, u3)
+                Vo = s2 + m2.at(u0, u1, u2, u3)
+                d2 = s3 + m3.at(u0, u1, u2, u3)
             if not isfinite(d2):
                 raise DivergenceError(t_next, "d2")
-            iL1 = iL1 + sixth * (a1 + 2.0 * (a2 + a3) + a4)
-            iL2 = iL2 + sixth * (b1 + 2.0 * (b2 + b3) + b4)
-            Vo = Vo + sixth * (c1 + 2.0 * (c2 + c3) + c4)
             if not (isfinite(iL1) and isfinite(iL2) and isfinite(Vo)):
                 for name, value in (("iL1", iL1), ("iL2", iL2), ("Vo", Vo)):
                     if not isfinite(value):
@@ -247,8 +393,7 @@ def _compile(scenario: Scenario):
             return iL1, iL2, Vo, d2, False
 
         def record(t, iL1, iL2, Vo, d2, sat2):
-            # controller_step's signals, computed as f computes them. A
-            # separate evaluation: returning them from f would slow every step.
+            # controller_step's signals, expression by expression.
             Vo_R = Vo / R
             e = Vref - Vo
             e_dot = (Vo_R - iL1 - iL2) / Ctot
@@ -293,18 +438,21 @@ def simulate(scenario: Scenario) -> Iterator[TraceRecord]:
     below -CCM_TOL.
     """
     validate_scenario(scenario)
+    return _integrate(scenario, _compile(scenario))
+
+
+def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
+    """The generator simulate() returns: one pass over the segment plan.
+
+    Each segment's kernel is built when the run enters it and dropped when
+    the run leaves it.
+    """
     plan = _segments(scenario)
-    step_at = _compile(scenario)
-    kernels = [step_at(seg.R) for seg in plan]  # (step, record) per segment
-    return _integrate(scenario, plan, kernels)
-
-
-def _integrate(scenario: Scenario, plan, kernels) -> Iterator[TraceRecord]:
-    """The generator simulate() returns: one pass over the segment plan."""
+    first = next(plan)
     state = scenario.initial_state
     iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
-    _, first_record = kernels[0]
-    yield first_record(0.0, iL1, iL2, Vo, d2, False)
+    step, record = step_at(first.R)
+    yield record(0.0, iL1, iL2, Vo, d2, False)
     if scenario.t_end == 0.0:
         return
 
@@ -312,8 +460,11 @@ def _integrate(scenario: Scenario, plan, kernels) -> Iterator[TraceRecord]:
     ccm_floor = -CCM_TOL
     sat2 = False
     steps = 0
-    for k, (seg_start, seg_end, _, n_full, remainder) in enumerate(plan):
-        step, record = kernels[k]
+    for k, (seg_start, seg_end, R, n_full, remainder) in enumerate(chain((first,), plan)):
+        if k:
+            # The far side of a load event: same time and state, new load.
+            step, record = step_at(R)
+            yield record(seg_start, iL1, iL2, Vo, d2, sat2)
         n_sub = n_full + (remainder > 0.0)
         for i in range(1, n_sub + 1):
             h = dt if i <= n_full else remainder
@@ -325,11 +476,8 @@ def _integrate(scenario: Scenario, plan, kernels) -> Iterator[TraceRecord]:
                 raise CcmViolationError(t_next, name, value)
             if steps % every == 0 and t_next != seg_end:
                 yield record(t_next, iL1, iL2, Vo, d2, sat2)
-        # Segment boundary: either a load event (record both sides) or t_end.
+        # Segment boundary: the near side of a load event, or t_end.
         yield record(seg_end, iL1, iL2, Vo, d2, sat2)
-        if k + 1 < len(kernels):
-            _, next_record = kernels[k + 1]
-            yield next_record(seg_end, iL1, iL2, Vo, d2, sat2)
 
 
 def run(scenario: Scenario) -> list[TraceRecord]:

@@ -1,5 +1,6 @@
 """Command-line interface: end-to-end runs, outputs, and every exit code."""
 
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -191,6 +192,21 @@ def test_plot_emits_column_referencing_script(constant_scn, tmp_path):
     for column in ("t", "Vo", "e2", "iL1", "iL2", "d1", "d2"):
         assert f'column("{column}")' in script
     assert "multiplot" in script
+
+
+def test_plot_quotes_any_csv_path(constant_scn, tmp_path):
+    """A path holding a double quote, a single quote and backslashes reaches
+    gnuplot intact: every use is one single-quoted literal with ' doubled,
+    inside which gnuplot reads backslashes and double quotes as themselves."""
+    csv_path = tmp_path / 'run "a" it\'s C:\\new\\t.csv'
+    assert main(["run", str(constant_scn), "-o", str(csv_path), "--t-end", "0.001"]) == EXIT_OK
+    script_path = tmp_path / "t.gp"
+    assert main(["plot", str(csv_path), "-o", str(script_path)]) == EXIT_OK
+    script = script_path.read_text()
+    literals = re.findall(r"'(?:[^']|'')*'", script)
+    assert len(literals) == 7  # the title and six plotted sources
+    for literal in literals:
+        assert literal[1:-1].replace("''", "'") == str(csv_path)
 
 
 def test_plot_missing_csv_exits_io(tmp_path):

@@ -1,9 +1,12 @@
 """Integrator, load schedule and run loop: fixed points, order, events, guards."""
 
+import collections
+import gc
 import hashlib
 import json
 import math
 import random
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +21,7 @@ from parbuck import (
     PlantState,
     Scenario,
     ScenarioFormatError,
+    TraceRecord,
     bundled_scenario_text,
     controller_step,
     equilibrium,
@@ -25,6 +29,7 @@ from parbuck import (
     parse_scenario,
     plant_derivatives,
     run,
+    simulate,
     validate_scenario,
 )
 from parbuck.sim import _compile
@@ -63,15 +68,19 @@ def test_order_four_at_simulation_step_sizes():
 
 
 def _oracle_step(scn: Scenario, state: PlantState) -> tuple:
-    """rk4_update over plant_derivatives after controller_step, unclamped."""
+    """rk4_update over plant_derivatives after controller_step, unclamped,
+    and whether d1 was clamped at each of the four stages."""
     R = scn.load_schedule[0].R
+    clamped = []
 
     def f(y):
         s = PlantState(*y)
         cmd = controller_step(s, scn.Vref, R, scn.p1, scn.p2, scn.gains)
+        clamped.append(cmd.saturated)
         return tuple(plant_derivatives(s, scn.p1, scn.p2, R, cmd.d1, cmd.d2_dot))
 
-    return numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), scn.dt)
+    y = numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), scn.dt)
+    return y, clamped
 
 
 def _kernel_cases():
@@ -108,24 +117,38 @@ def _kernel_step(scn: Scenario, state: PlantState, dt: float) -> tuple:
 
 
 def test_kernel_step_equals_generic_kernel():
-    """The compiled step reproduces the readable oracle bit for bit.
+    """The compiled step reproduces the readable oracle to 1e-10 of each
+    component's size, on every path through the d1 clamp regimes.
 
-    The oracle's d2 is clamped to [0, 1] before the comparison, and sat2
-    must say whether that changed it.
+    The kernel applies the exact affine RK4 map of the piecewise-affine
+    closed loop, so it differs from the oracle by rounding only. The
+    oracle's d2 is clamped to [0, 1] before the comparison, and sat2 must
+    say exactly whether that changed it. Cases are classified by the
+    oracle's d1 clamps at the four stages.
     """
     n = d1_saturated = d2_clamped = 0
+    paths = {"interior": 0, "clamped": 0, "mixed": 0}
+    worst = 0.0
     for scn, state in _kernel_cases():
-        *currents_and_vo, d2 = _oracle_step(scn, state)
+        (*currents_and_vo, d2), stage_clamps = _oracle_step(scn, state)
         clamped = min(max(d2, 0.0), 1.0)
         *stepped, sat2 = _kernel_step(scn, state, scn.dt)
-        assert tuple(stepped) == (*currents_and_vo, clamped)
+        want = (*currents_and_vo, clamped)
+        for got, w, x in zip(stepped, want, (state.iL1, state.iL2, state.Vo, state.d2)):
+            size = max(abs(w), abs(x))
+            assert abs(got - w) <= 1e-10 * size
+            if size:
+                worst = max(worst, abs(got - w) / size)
         assert sat2 == (clamped != d2)
+        paths["clamped" if all(stage_clamps) else "mixed" if any(stage_clamps) else "interior"] += 1
         R = scn.load_schedule[0].R
         n += 1
         d1_saturated += controller_step(state, scn.Vref, R, scn.p1, scn.p2, scn.gains).saturated
         d2_clamped += sat2
-    print(f"\n  d1 saturated on {d1_saturated}/{n} states, d2 clamped on {d2_clamped}/{n}")
+    print(f"\n  d1 saturated on {d1_saturated}/{n} states, d2 clamped on {d2_clamped}/{n}; "
+          f"stage regimes {paths}; worst relative error {worst:.2e}")
     assert 20 <= d1_saturated <= n - 20 and d2_clamped >= 20
+    assert min(paths.values()) >= 20
 
 
 def test_compiled_record_equals_controller_step():
@@ -189,22 +212,75 @@ def test_kernel_step_divergence_names_time_and_component(constant_scenario):
     assert err.value.t == t_next
 
 
-def _reference_sha256(workload: str) -> str:
-    path = BENCH_REFERENCE / f"{workload}.json"
-    return json.loads(path.read_text(encoding="utf-8"))["sha256"]
+# sha256 of the two bundled-load-step CSVs, so that any change to the
+# kernel's arithmetic shows, however small.
+LOAD_STEP_SHA256 = "8b196f843e0597ec6fc454ba08fe1407b2d8bd26f1957b7d412c2d56a509c7be"
+DENSE_TRACE_SHA256 = "25510fd15172e685122623edda80d57e1a87bbac31fc2fd0279a63b508acfa17"
+
+
+def _assert_matches_reference(trace, workload: str) -> None:
+    """Every row stored with the benchmark matches the trace: times, loads
+    and flags exactly, every other column to 1e-10 of its stored scale."""
+    ref = json.loads((BENCH_REFERENCE / f"{workload}.json").read_text(encoding="utf-8"))
+    assert len(trace) == ref["n_rows"]
+    worst = 0.0
+    for i, *want in ref["rows"]:
+        for name, got, w, scale in zip(TraceRecord._fields, trace[i], want, ref["scale"]):
+            if name in ("t", "R_active", "sat1", "sat2"):
+                assert got == w, f"row {i} {name}"
+            else:
+                worst = max(worst, abs(got - w) / scale)
+                assert abs(got - w) <= 1e-10 * scale, f"row {i} {name}"
+    print(f"\n  {workload}: worst error {worst:.2e} of the column scale")
 
 
 def test_bundled_load_step_trace_matches_bench_reference(step_trace):
-    """The bundled load step's CSV has the sha256 stored with the benchmark."""
+    """The bundled load step matches the rows stored with the benchmark, and
+    its CSV has the pinned sha256."""
+    _assert_matches_reference(step_trace, "load_step")
     csv = format_trace_csv(step_trace).encode("utf-8")
-    assert hashlib.sha256(csv).hexdigest() == _reference_sha256("load_step")
+    assert hashlib.sha256(csv).hexdigest() == LOAD_STEP_SHA256
 
 
 def test_dense_load_step_trace_matches_bench_reference(step_scenario):
     """The bundled load step recorded at every step (1e5 records, both sides
-    of the event) gives the CSV stored with the benchmark, byte for byte."""
-    csv = format_trace_csv(run(replace(step_scenario, record_every=1))).encode("utf-8")
-    assert hashlib.sha256(csv).hexdigest() == _reference_sha256("dense_trace")
+    of the event) matches the benchmark's rows and the pinned sha256."""
+    trace = run(replace(step_scenario, record_every=1))
+    _assert_matches_reference(trace, "dense_trace")
+    csv = format_trace_csv(trace).encode("utf-8")
+    assert hashlib.sha256(csv).hexdigest() == DENSE_TRACE_SHA256
+
+
+def test_drained_run_memory_does_not_grow_with_the_schedule(step_scenario):
+    """Draining simulate() builds each load segment's kernel when the run
+    enters the segment and drops it when the run leaves, so a 200-event
+    schedule peaks within 1.5x of a 20-event one over the same steps.
+
+    A full collection before each measurement empties CPython's free lists,
+    so objects parked there by earlier work are not counted.
+    """
+    def train(n_events: int, t_end: float = 0.01) -> Scenario:
+        spacing = t_end / (n_events + 1)
+        events = tuple(
+            LoadStep((i + 0.37) * spacing, (10.0, 15.0)[i % 2]) for i in range(1, n_events + 1)
+        )
+        return replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=t_end)
+
+    short, long = train(20), train(200)
+    collections.deque(simulate(long), maxlen=0)  # warm-up
+    peaks = []
+    tracemalloc.start()
+    try:
+        for scn in (short, long):
+            gc.collect()
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            collections.deque(simulate(scn), maxlen=0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+    finally:
+        tracemalloc.stop()
+    print(f"\n  peak {peaks[0] / 1024:.1f} KiB (20 events), {peaks[1] / 1024:.1f} KiB (200 events)")
+    assert peaks[1] <= 1.5 * peaks[0]
 
 
 # ── Run loop ──────────────────────────────────────────────────────────────────
