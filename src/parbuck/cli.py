@@ -31,7 +31,7 @@ from .errors import (
 )
 from .metrics import RunMetrics, compute_metrics
 from .plotting import emit_plot_script
-from .scenario_io import load_scenario
+from .scenario_io import init_label, load_scenario
 from .sim import simulate, step_count
 from .trace_csv import CSV_HEADER, trace_csv_rows
 
@@ -119,7 +119,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     out_path = args.output or str(Path(args.csv).with_suffix(".gp").name)
     try:
-        script = emit_plot_script(args.csv, script_name=out_path)
+        script = emit_plot_script(args.csv)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read CSV {args.csv!r}: {exc}")
     except CsvFormatError as exc:
@@ -143,7 +143,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     steps = step_count(scenario)
     print(f"OK: {args.scenario}")
     print(f"  Vref={scenario.Vref!r} V, dt={scenario.dt!r} s, t_end={scenario.t_end!r} s "
-          f"({steps} steps), init={scenario.init_label}")
+          f"({steps} steps), init={init_label(scenario)}")
     print(f"  load schedule: " + ", ".join(
         f"{e.R!r} ohm from t={e.time!r} s" for e in scenario.load_schedule))
     return EXIT_OK

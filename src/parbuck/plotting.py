@@ -13,7 +13,7 @@ _REQUIRED_COLUMNS = ("t", "Vo", "e2", "iL1", "iL2", "d1", "d2")
 
 _TEMPLATE = """\
 # Four-panel summary of a parallel-buck simulation trace.
-# Usage: gnuplot -persist {script_name}
+# Usage: gnuplot -persist <this script>
 set datafile separator ","
 set key autotitle columnhead
 set grid
@@ -49,7 +49,7 @@ def read_csv_header(csv_path: str) -> list[str]:
     return header.split(",")
 
 
-def emit_plot_script(csv_path: str, script_name: str = "trace.gp") -> str:
+def emit_plot_script(csv_path: str) -> str:
     """Gnuplot script text for the four-panel trace summary.
 
     Validates the CSV header first and names any missing column. Columns are
@@ -62,13 +62,15 @@ def emit_plot_script(csv_path: str, script_name: str = "trace.gp") -> str:
                 f"{csv_path}: header is missing column {required!r} "
                 f"(found: {', '.join(columns)})"
             )
-    return _TEMPLATE.format(csv_literal=_gnuplot_string(csv_path), script_name=script_name)
+    return _TEMPLATE.format(csv_literal=_gnuplot_string(csv_path))
 
 
 def _gnuplot_string(text: str) -> str:
     """text as a gnuplot single-quoted string literal.
 
     In single quotes gnuplot takes backslashes and double quotes literally;
-    a single quote is written twice.
+    a single quote is written twice, and a line break raises CsvFormatError.
     """
+    if "\n" in text or "\r" in text:
+        raise CsvFormatError(f"{text!r}: a gnuplot string cannot hold a line break")
     return "'" + text.replace("'", "''") + "'"

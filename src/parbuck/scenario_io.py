@@ -26,6 +26,7 @@ _CONTROL_KEYS = ("k1", "k2", "duty_min", "duty_max", "x_guard")
 _SIM_KEYS = ("Vref_V", "dt_s", "t_end_s", "record_every", "init")
 _SECTIONS = ("converter1", "converter2", "control", "load", "sim")
 _INIT_LABELS = ("zero", "equilibrium")
+_ZERO = PlantState(0.0, 0.0, 0.0, 0.0)
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
@@ -166,24 +167,18 @@ def parse_scenario(text: str) -> Scenario:
             key="record_every",
         )
     record_every = int(record_every_f)
-    if "init" in sim_table:
-        init_label, lineno = sim_table["init"]
-        if init_label not in _INIT_LABELS:
-            raise ScenarioFormatError(
-                f"init must be one of {list(_INIT_LABELS)}, got {init_label!r}",
-                key="init",
-                line=lineno,
-            )
-    else:
-        init_label = "zero"
-
-    if init_label == "equilibrium":
+    init, lineno = sim_table.get("init", ("zero", None))
+    if init not in _INIT_LABELS:
+        raise ScenarioFormatError(
+            f"init must be one of {list(_INIT_LABELS)}, got {init!r}", key="init", line=lineno
+        )
+    if init == "equilibrium":
         try:
             initial_state = equilibrium(p1, p2, schedule[0].R, vref)
         except ParbuckError as exc:
             raise ScenarioFormatError(str(exc)) from exc
     else:
-        initial_state = PlantState(0.0, 0.0, 0.0, 0.0)
+        initial_state = _ZERO
 
     scenario = Scenario(
         p1=p1,
@@ -195,7 +190,6 @@ def parse_scenario(text: str) -> Scenario:
         t_end=t_end,
         initial_state=initial_state,
         record_every=record_every,
-        init_label=init_label,
     )
     try:
         validate_scenario(scenario)
@@ -212,17 +206,29 @@ def _engineering(si_value: float, shift: int) -> str:
     return f"{value:f}" if -6 <= value.adjusted() < 16 else str(value)
 
 
+def init_label(scenario: Scenario) -> str:
+    """The [sim] init word of the scenario's initial state: "zero", or
+    "equilibrium" of the first load at Vref. Others raise ScenarioFormatError."""
+    s = scenario
+    if s.initial_state == _ZERO:
+        return "zero"
+    try:
+        if s.initial_state == equilibrium(s.p1, s.p2, s.load_schedule[0].R, s.Vref):
+            return "equilibrium"
+    except (ParbuckError, IndexError):
+        pass  # no equilibrium to compare with
+    raise ScenarioFormatError(
+        f"only initial states {list(_INIT_LABELS)} can be written to a file, got {s.initial_state}"
+    )
+
+
 def format_scenario(scenario: Scenario) -> str:
     """Canonical text form of a scenario; parse_scenario inverts it exactly.
 
-    Only zero/equilibrium initial states are representable in a file;
-    scenarios carrying a custom state are rejected.
+    Only zero/equilibrium initial states are representable in a file (see
+    init_label); scenarios carrying any other state are rejected.
     """
-    if scenario.init_label not in _INIT_LABELS:
-        raise ScenarioFormatError(
-            f"only init labels {list(_INIT_LABELS)} can be written to a file, "
-            f"got {scenario.init_label!r}"
-        )
+    init = init_label(scenario)
     lines = []
     for name, p in (("converter1", scenario.p1), ("converter2", scenario.p2)):
         lines.append(f"[{name}]")
@@ -248,7 +254,7 @@ def format_scenario(scenario: Scenario) -> str:
     lines.append(f"dt_s = {scenario.dt!r}")
     lines.append(f"t_end_s = {scenario.t_end!r}")
     lines.append(f"record_every = {scenario.record_every}")
-    lines.append(f"init = {scenario.init_label}")
+    lines.append(f"init = {init}")
     lines.append("")
     return "\n".join(lines)
 

@@ -38,8 +38,7 @@ class Scenario:
     """Everything needed to reproduce one closed-loop run.
 
     The load schedule is closed on the left: an entry's resistance applies
-    from its time (inclusive) until the next entry. init_label records how
-    initial_state was specified so scenario files round-trip exactly.
+    from its time (inclusive) until the next entry.
     """
 
     p1: ConverterParams
@@ -51,7 +50,6 @@ class Scenario:
     t_end: float = 0.1
     initial_state: PlantState = field(default_factory=lambda: PlantState(0.0, 0.0, 0.0, 0.0))
     record_every: int = 50
-    init_label: str = "custom"
 
 
 class TraceRecord(NamedTuple):
@@ -241,11 +239,17 @@ def _compile(scenario: Scenario):
     step of length h that ends at time t_next, and
     ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord``.
 
+    The control law is written once: controller_step's expression chain,
+    split at the d1 clamp, its one non-affine operation, into voltage_law
+    (raw d1, e, i_tilde) and sharing_law (d2_dot, e2, v_tilde for the duty
+    the plant sees). record runs it over floats with the clamp between the
+    halves, so it reproduces controller_step bit for bit.
+
     At a fixed load, with d1 either interior or clamped at one of its
     bounds, the closed loop is affine in the state, so a classical RK4 step
     is exactly an affine map, chosen by the d1 regime at each of its four
-    stages. step_at evaluates the controller_step -> plant_derivatives
-    expression chain once per regime over affine forms about
+    stages. step_at runs the chain, sharing_law once per regime, with
+    plant_derivatives' slopes over affine forms about
     x* = equilibrium(p1, p2, R, Vref), and composes four stages into the
     raw-d1 guard of each stage and a 4x5 state map in u = x - x*. A step
     whose four guards of the all-interior map at h = dt lie inside the duty
@@ -256,9 +260,6 @@ def _compile(scenario: Scenario):
     bit on the bundled scenarios, for dt up to 1e-3). The result equals the
     scalar RK4 of controller_step and plant_derivatives to rounding, not
     bit for bit.
-
-    The record evaluates controller_step expression by expression, in its
-    order and with its operands, so it reproduces it bit for bit.
 
     Non-finiteness is checked once per step, on the new state. d2 is checked
     before it is clamped to [0, 1], since the clamp would absorb an inf;
@@ -277,35 +278,38 @@ def _compile(scenario: Scenario):
     X = coupling_constant(p1, p2, gains.x_guard)
     isfinite = math.isfinite
 
-    def closed_loop(R, iL1, iL2, Vo, d2):
-        """controller_step then plant_derivatives over affine forms: the raw
-        d1 command and the state slopes in each d1 regime, low first."""
-        Vo_R = Vo / R
+    def voltage_law(R, iL1, iL2, Vo, d2):
+        """The raw d1 command, e and i_tilde."""
         e = Vref - Vo
-        e_dot = (Vo_R - iL1 - iL2) / Ctot
+        e_dot = (Vo / R - iL1 - iL2) / Ctot
         diL2 = (d2 * Vin2 - Vo) / L2
         i_tilde = Vref / R - iL2 + k1 * e - iL1
         w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
-        raw = (L1 * w + Vo) / Vin1
+        return (L1 * w + Vo) / Vin1, e, i_tilde
+
+    def sharing_law(R, iL1, iL2, Vo, d2, d1):
+        """d2_dot, e2 and v_tilde for the duty d1 the plant sees."""
         e2 = iL1 / Imax1 - iL2 / Imax2
+        share1 = d1 * Vin1 / IL1
         share2 = d2 * Vin2 / IL2
-        dVo = (iL1 + iL2 - Vo_R) / Ctot
-        slopes = []
-        for d1 in (duty_min, raw, duty_max):
-            share1 = d1 * Vin1 / IL1
-            v_tilde = (-share1 + share2 - k2 * e2) / X - Vo
-            e2_dot = share1 - share2 + Vo * X
-            d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
-            slopes.append(((d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot))
-        return raw, slopes
+        v_tilde = (-share1 + share2 - k2 * e2) / X - Vo
+        e2_dot = share1 - share2 + Vo * X
+        dVo = (iL1 + iL2 - Vo / R) / Ctot
+        d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
+        return d2_dot, e2, v_tilde
 
     def step_at(R: float):
-        Vref_R = Vref / R
         star = equilibrium(p1, p2, R, Vref)
         s0, s1, s2, s3 = star.iL1, star.iL2, star.Vo, star.d2
-        raw_d1, fields = closed_loop(
-            R, *(u + x for u, x in zip(_DEVIATION, (s0, s1, s2, s3)))
-        )
+        x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, (s0, s1, s2, s3))]
+        raw_d1 = voltage_law(R, *x)[0]
+        # plant_derivatives in each d1 regime, low first.
+        diL2 = (d2 * Vin2 - Vo) / L2
+        dVo = (iL1 + iL2 - Vo / R) / Ctot
+        fields = [
+            ((d1 * Vin1 - Vo) / L1, diL2, dVo, sharing_law(R, *x, d1)[0])
+            for d1 in (duty_min, raw_d1, duty_max)
+        ]
         stages = {}  # (h, regimes so far) -> (next stage's input, slopes, guard)
         maps = {}  # (h, regimes of all four stages) -> state map
 
@@ -393,26 +397,13 @@ def _compile(scenario: Scenario):
             return iL1, iL2, Vo, d2, False
 
         def record(t, iL1, iL2, Vo, d2, sat2):
-            # controller_step's signals, expression by expression.
-            Vo_R = Vo / R
-            e = Vref - Vo
-            e_dot = (Vo_R - iL1 - iL2) / Ctot
-            diL2 = (d2 * Vin2 - Vo) / L2
-            i_tilde = Vref_R - iL2 + k1 * e - iL1
-            w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
-            raw = (L1 * w + Vo) / Vin1
+            raw, e, i_tilde = voltage_law(R, iL1, iL2, Vo, d2)
             d1 = raw
             if duty_min > d1:
                 d1 = duty_min
             if duty_max < d1:
                 d1 = duty_max
-            e2 = iL1 / Imax1 - iL2 / Imax2
-            share1 = d1 * Vin1 / IL1
-            share2 = d2 * Vin2 / IL2
-            v_tilde = (-share1 + share2 - k2 * e2) / X - Vo
-            dVo = (iL1 + iL2 - Vo_R) / Ctot
-            e2_dot = share1 - share2 + Vo * X
-            d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
+            d2_dot, e2, v_tilde = sharing_law(R, iL1, iL2, Vo, d2, d1)
             return TraceRecord(
                 t, iL1, iL2, Vo, d1, d2, d2_dot, e, e2,
                 0.5 * (e * e + i_tilde * i_tilde),

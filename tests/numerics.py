@@ -60,7 +60,6 @@ def perturbed_scenario(base: Scenario, dVo: float, t_end: float, dt: float) -> S
     return replace(
         base,
         initial_state=start,
-        init_label="custom",
         load_schedule=base.load_schedule[:1],
         t_end=t_end,
         dt=dt,

@@ -131,7 +131,7 @@ def test_criterion_3_equilibrium_fixed_point(constant_scenario):
     eq = equilibrium(scn.p1, scn.p2, 10.0, 8.0)
     sig = controller_step(eq, scn.Vref, 10.0, scn.p1, scn.p2, scn.gains)
     d1_err = abs(sig.d1 - scn.Vref / scn.p1.Vin)
-    stepped = run(replace(scn, initial_state=eq, init_label="custom", t_end=scn.dt))[-1]
+    stepped = run(replace(scn, initial_state=eq, t_end=scn.dt))[-1]
     rel_moves = [
         abs(getattr(stepped, f) - getattr(eq, f)) / max(abs(getattr(eq, f)), 1e-300)
         for f in ("iL1", "iL2", "Vo", "d2")

@@ -1,12 +1,15 @@
 """Command-line interface: end-to-end runs, outputs, and every exit code."""
 
+import os
 import re
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import parbuck
 from parbuck import bundled_scenario_text, compute_metrics, load_scenario, run
 from parbuck.cli import (
     EXIT_CCM,
@@ -134,6 +137,7 @@ def test_validate_accepts_bundled(constant_scn, capsys):
     assert main(["validate", str(constant_scn)]) == EXIT_OK
     out = capsys.readouterr().out
     assert out.startswith("OK:")
+    assert "init=equilibrium" in out
     assert "load schedule" in out
 
 
@@ -209,6 +213,29 @@ def test_plot_quotes_any_csv_path(constant_scn, tmp_path):
         assert literal[1:-1].replace("''", "'") == str(csv_path)
 
 
+def test_plot_script_path_cannot_inject_commands(constant_scn, tmp_path):
+    """The script's path never enters the script, so a line break in it
+    cannot end a comment and start a gnuplot command."""
+    csv_path = tmp_path / "t.csv"
+    assert main(["run", str(constant_scn), "-o", str(csv_path), "--t-end", "0.001"]) == EXIT_OK
+    script_path = tmp_path / 'a.gp\nsystem "echo pwned"'
+    assert main(["plot", str(csv_path), "-o", str(script_path)]) == EXIT_OK
+    lines = script_path.read_text().splitlines()
+    assert not [line for line in lines if line.startswith("system")]
+    assert "# Usage: gnuplot -persist <this script>" in lines
+
+
+def test_plot_rejects_a_csv_path_with_a_line_break(constant_scn, tmp_path, capsys):
+    """A CSV path is quoted into the script, where a line break would end
+    the command: it is a format error, and no script is written."""
+    csv_path = tmp_path / 'b\nsystem "echo pwned"\n.csv'
+    assert main(["run", str(constant_scn), "-o", str(csv_path), "--t-end", "0.001"]) == EXIT_OK
+    script_path = tmp_path / "b.gp"
+    assert main(["plot", str(csv_path), "-o", str(script_path)]) == EXIT_PARSE
+    assert "line break" in capsys.readouterr().err
+    assert not script_path.exists()
+
+
 def test_plot_missing_csv_exits_io(tmp_path):
     assert main(["plot", str(tmp_path / "none.csv")]) == EXIT_IO
 
@@ -221,9 +248,12 @@ def test_plot_missing_column_named(tmp_path, capsys):
 
 
 def test_module_entry_point_help():
+    # The child imports the package under test, installed or not.
+    src = str(Path(parbuck.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
         [sys.executable, "-m", "parbuck.cli", "--help"],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0
     assert "run" in result.stdout and "plot" in result.stdout and "validate" in result.stdout

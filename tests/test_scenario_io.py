@@ -24,6 +24,7 @@ from parbuck import (
     parse_scenario,
     validate_scenario,
 )
+from parbuck.scenario_io import init_label
 
 
 def test_bundled_constant_load_values(constant_scenario):
@@ -36,7 +37,7 @@ def test_bundled_constant_load_values(constant_scenario):
     assert s.load_schedule == (LoadStep(0.0, 10.0),)
     assert s.Vref == 8.0 and s.dt == 1e-6 and s.t_end == 0.1
     assert s.record_every == 50
-    assert s.init_label == "equilibrium"
+    assert init_label(s) == "equilibrium"
     assert s.initial_state == equilibrium(s.p1, s.p2, 10.0, 8.0)
 
 
@@ -94,8 +95,7 @@ def test_any_si_inductance_and_capacitance_can_be_written(constant_scenario, fie
     """An SI value that no mH/uF float maps onto by division is written as
     its own digits with the decimal point moved, and reads back exactly."""
     p1 = replace(constant_scenario.p1, **{field: value})
-    scenario = replace(constant_scenario, p1=p1, initial_state=PlantState(0.0, 0.0, 0.0, 0.0),
-                       init_label="zero")
+    scenario = replace(constant_scenario, p1=p1, initial_state=PlantState(0.0, 0.0, 0.0, 0.0))
     text = format_scenario(scenario)
     print(f"\n  {[line for line in text.splitlines() if line.startswith(field)][0]}")
     assert parse_scenario(text) == scenario
@@ -202,10 +202,28 @@ def test_zero_init_starts_dead():
 
 
 def test_custom_initial_state_cannot_be_serialized(constant_scenario):
-    custom = replace(constant_scenario, initial_state=PlantState(1.0, 1.0, 5.0, 0.3),
-                     init_label="custom")
+    custom = replace(constant_scenario, initial_state=PlantState(1.0, 1.0, 5.0, 0.3))
     with pytest.raises(ScenarioFormatError, match="init"):
         format_scenario(custom)
+
+
+@pytest.mark.parametrize("change", [
+    {"initial_state": PlantState(1.0, 0.5, 7.9, 0.5)},
+    {"Vref": 6.0},
+    {"load_schedule": (LoadStep(0.0, 15.0),)},
+], ids=["state", "Vref", "first_load"])
+def test_state_off_the_equilibrium_is_not_written_as_one(step_scenario, change):
+    """The init word is read off the state: once the state is not the
+    equilibrium of the first load at Vref, no word gives it back, so
+    writing fails instead of producing a file that parses to another
+    scenario."""
+    moved = replace(step_scenario, **change)
+    with pytest.raises(ScenarioFormatError, match="initial state"):
+        format_scenario(moved)
+    start = equilibrium(moved.p1, moved.p2, moved.load_schedule[0].R, moved.Vref)
+    rebased = replace(moved, initial_state=start)
+    assert "init = equilibrium" in format_scenario(rebased)
+    assert parse_scenario(format_scenario(rebased)) == rebased
 
 
 def test_unknown_bundled_name_is_rejected():
@@ -249,7 +267,7 @@ def scenarios(draw):
     scenario = Scenario(
         p1, p2, gains, vref, schedule, dt=draw(_finite(1e-9, 1e-3)),
         t_end=draw(_finite(0.0, 10.0)), initial_state=state,
-        record_every=draw(st.integers(1, 10**6)), init_label=label,
+        record_every=draw(st.integers(1, 10**6)),
     )
     try:
         validate_scenario(scenario)

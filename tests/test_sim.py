@@ -351,8 +351,7 @@ def test_event_within_rounding_of_start_takes_no_step(step_scenario):
 def test_cold_start_violates_continuous_conduction(constant_scenario):
     """From a dead bus, leg 2's current is pulled negative within microseconds:
     its duty starts at zero, so any bus voltage discharges the inductor."""
-    scn = replace(constant_scenario, initial_state=PlantState(0.0, 0.0, 0.0, 0.0),
-                  init_label="zero")
+    scn = replace(constant_scenario, initial_state=PlantState(0.0, 0.0, 0.0, 0.0))
     with pytest.raises(CcmViolationError) as err:
         run(scn)
     print(f"\n  {err.value}")
@@ -405,7 +404,6 @@ def test_d2_clamp_is_recorded(constant_scenario):
     scn = replace(
         constant_scenario,
         initial_state=start,
-        init_label="custom",
         t_end=3e-6,
         record_every=1,
     )
