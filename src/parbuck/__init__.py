@@ -58,7 +58,6 @@ from .sim import (
     run,
     simulate,
     step_count,
-    validate_scenario,
 )
 from .trace_csv import CSV_COLUMNS, format_trace_csv
 

@@ -69,13 +69,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if args.record_every is not None:
         overrides["record_every"] = args.record_every
     if overrides:
-        scenario = replace(scenario, **overrides)
+        try:
+            scenario = replace(scenario, **overrides)
+        except ParbuckError as exc:
+            return _fail(EXIT_PARSE, f"{args.scenario}: {exc}")
 
     started = time.perf_counter()
-    try:
-        records = simulate(scenario)
-    except ParbuckError as exc:
-        return _fail(EXIT_PARSE, f"{args.scenario}: {exc}")
+    records = simulate(scenario)
 
     # The CSV is written to a side file and renamed onto the output path only
     # once the run and its metrics succeed, so a failed run leaves no file

@@ -17,7 +17,7 @@ from importlib import resources
 from .control import ControlGains
 from .errors import DegenerateConfigError, ParameterError, ParbuckError, ScenarioFormatError
 from .model import ConverterParams, PlantState, equilibrium
-from .sim import LoadStep, Scenario, validate_scenario
+from .sim import LoadStep, Scenario
 
 BUNDLED_SCENARIOS = ("constant_load", "load_step")
 
@@ -180,22 +180,20 @@ def parse_scenario(text: str) -> Scenario:
     else:
         initial_state = _ZERO
 
-    scenario = Scenario(
-        p1=p1,
-        p2=p2,
-        gains=gains,
-        Vref=vref,
-        load_schedule=tuple(schedule),
-        dt=dt,
-        t_end=t_end,
-        initial_state=initial_state,
-        record_every=record_every,
-    )
     try:
-        validate_scenario(scenario)
+        return Scenario(
+            p1=p1,
+            p2=p2,
+            gains=gains,
+            Vref=vref,
+            load_schedule=tuple(schedule),
+            dt=dt,
+            t_end=t_end,
+            initial_state=initial_state,
+            record_every=record_every,
+        )
     except (ParameterError, DegenerateConfigError) as exc:
         raise ScenarioFormatError(str(exc)) from exc
-    return scenario
 
 
 def _engineering(si_value: float, shift: int) -> str:
@@ -212,11 +210,8 @@ def init_label(scenario: Scenario) -> str:
     s = scenario
     if s.initial_state == _ZERO:
         return "zero"
-    try:
-        if s.initial_state == equilibrium(s.p1, s.p2, s.load_schedule[0].R, s.Vref):
-            return "equilibrium"
-    except (ParbuckError, IndexError):
-        pass  # no equilibrium to compare with
+    if s.initial_state == equilibrium(s.p1, s.p2, s.load_schedule[0].R, s.Vref):
+        return "equilibrium"
     raise ScenarioFormatError(
         f"only initial states {list(_INIT_LABELS)} can be written to a file, got {s.initial_state}"
     )

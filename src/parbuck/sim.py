@@ -38,7 +38,10 @@ class Scenario:
     """Everything needed to reproduce one closed-loop run.
 
     The load schedule is closed on the left: an entry's resistance applies
-    from its time (inclusive) until the next entry.
+    from its time (inclusive) until the next entry. Construction, and so
+    dataclasses.replace, checks every field and the relations between them:
+    a violation raises ParameterError, and a converter pair the sharing law
+    cannot tell apart raises DegenerateConfigError.
     """
 
     p1: ConverterParams
@@ -50,6 +53,46 @@ class Scenario:
     t_end: float = 0.1
     initial_state: PlantState = field(default_factory=lambda: PlantState(0.0, 0.0, 0.0, 0.0))
     record_every: int = 50
+
+    def __post_init__(self):
+        s = self
+        if not math.isfinite(s.dt) or s.dt <= 0.0:
+            raise ParameterError(f"dt must be positive, got {s.dt!r}")
+        if not math.isfinite(s.t_end) or s.t_end < 0.0:
+            raise ParameterError(f"t_end must be nonnegative, got {s.t_end!r}")
+        # For an integer bound, ceil(t_end/dt) > MAX_STEPS iff t_end/dt > MAX_STEPS;
+        # comparing the quotient itself also covers its overflow to inf.
+        if s.t_end / s.dt > MAX_STEPS:
+            raise ParameterError(
+                f"t_end/dt = {s.t_end / s.dt:.6g} steps exceeds the limit of {MAX_STEPS} steps"
+            )
+        if s.record_every < 1:
+            raise ParameterError(f"record_every must be >= 1, got {s.record_every!r}")
+        if not math.isfinite(s.Vref) or s.Vref <= 0.0:
+            raise ParameterError(f"Vref must be positive, got {s.Vref!r}")
+        if s.Vref >= min(s.p1.Vin, s.p2.Vin):
+            raise ParameterError(
+                f"Vref={s.Vref!r} must be below both input voltages "
+                f"({s.p1.Vin!r}, {s.p2.Vin!r})"
+            )
+        if not s.load_schedule:
+            raise ParameterError("load schedule must have at least one entry")
+        if s.load_schedule[0].time != 0.0:
+            raise ParameterError(
+                f"first load entry must be at t=0, got t={s.load_schedule[0].time!r}"
+            )
+        prev = -math.inf
+        for entry in s.load_schedule:
+            if not math.isfinite(entry.time):
+                raise ParameterError(f"load entry time must be finite, got {entry.time!r}")
+            if not math.isfinite(entry.R) or entry.R <= 0.0:
+                raise ParameterError(f"load resistance must be positive, got {entry.R!r}")
+            if entry.time <= prev:
+                raise ParameterError("load schedule times must be strictly increasing")
+            prev = entry.time
+        if not s.initial_state.is_finite():
+            raise ParameterError(f"initial state must be finite, got {s.initial_state}")
+        coupling_constant(s.p1, s.p2, s.gains.x_guard)
 
 
 class TraceRecord(NamedTuple):
@@ -75,53 +118,6 @@ class TraceRecord(NamedTuple):
     sat2: bool
 
 
-def validate_scenario(scenario: Scenario) -> None:
-    """Check cross-field invariants; raises ParameterError on violation.
-
-    Parameter and gain objects validate themselves on construction, so this
-    covers only the relations between them. A converter pair the sharing law
-    cannot tell apart raises DegenerateConfigError.
-    """
-    s = scenario
-    if not math.isfinite(s.dt) or s.dt <= 0.0:
-        raise ParameterError(f"dt must be positive, got {s.dt!r}")
-    if not math.isfinite(s.t_end) or s.t_end < 0.0:
-        raise ParameterError(f"t_end must be nonnegative, got {s.t_end!r}")
-    # For an integer bound, ceil(t_end/dt) > MAX_STEPS iff t_end/dt > MAX_STEPS;
-    # comparing the quotient itself also covers its overflow to inf.
-    if s.t_end / s.dt > MAX_STEPS:
-        raise ParameterError(
-            f"t_end/dt = {s.t_end / s.dt:.6g} steps exceeds the limit of {MAX_STEPS} steps"
-        )
-    if s.record_every < 1:
-        raise ParameterError(f"record_every must be >= 1, got {s.record_every!r}")
-    if not math.isfinite(s.Vref) or s.Vref <= 0.0:
-        raise ParameterError(f"Vref must be positive, got {s.Vref!r}")
-    if s.Vref >= min(s.p1.Vin, s.p2.Vin):
-        raise ParameterError(
-            f"Vref={s.Vref!r} must be below both input voltages "
-            f"({s.p1.Vin!r}, {s.p2.Vin!r})"
-        )
-    if not s.load_schedule:
-        raise ParameterError("load schedule must have at least one entry")
-    if s.load_schedule[0].time != 0.0:
-        raise ParameterError(
-            f"first load entry must be at t=0, got t={s.load_schedule[0].time!r}"
-        )
-    prev = -math.inf
-    for entry in s.load_schedule:
-        if not math.isfinite(entry.time):
-            raise ParameterError(f"load entry time must be finite, got {entry.time!r}")
-        if not math.isfinite(entry.R) or entry.R <= 0.0:
-            raise ParameterError(f"load resistance must be positive, got {entry.R!r}")
-        if entry.time <= prev:
-            raise ParameterError("load schedule times must be strictly increasing")
-        prev = entry.time
-    if not s.initial_state.is_finite():
-        raise ParameterError(f"initial state must be finite, got {s.initial_state}")
-    coupling_constant(s.p1, s.p2, s.gains.x_guard)
-
-
 class _Segment(NamedTuple):
     """A stretch of constant load: n_full steps of dt, then one remainder step
     when remainder > 0, so that the segment ends exactly at `end`."""
@@ -134,11 +130,11 @@ class _Segment(NamedTuple):
 
 
 def _segments(scenario: Scenario) -> Iterator[_Segment]:
-    """The segment plan of a validated scenario, the one run() integrates,
+    """The segment plan of the scenario, the one run() integrates,
     generated one segment at a time.
 
-    Validation makes the schedule start at t=0 and strictly increase, so the
-    entries before t_end split the run into segments of constant load.
+    The schedule starts at t=0 and strictly increases, so the entries before
+    t_end split the run into segments of constant load.
     """
     schedule, t_end, dt = scenario.load_schedule, scenario.t_end, scenario.dt
 
@@ -160,7 +156,7 @@ def _segments(scenario: Scenario) -> Iterator[_Segment]:
 
 
 def step_count(scenario: Scenario) -> int:
-    """Number of integration steps run() takes on a validated scenario.
+    """Number of integration steps run() takes on the scenario.
 
     Each load event off the dt grid adds one shortened step to its segment.
     """
@@ -417,18 +413,15 @@ def _compile(scenario: Scenario):
 
 
 def simulate(scenario: Scenario) -> Iterator[TraceRecord]:
-    """Validate and compile the scenario, then return an iterator over its trace.
+    """Compile the scenario and return an iterator over its trace.
 
-    Validation and compilation happen on the call, so a bad scenario raises
-    before any record is produced. The iterator integrates from t=0 to t_end
-    as it is consumed and yields the initial sample, every record_every-th
-    step, both sides of every load event (same time and state, old and new
-    resistance) and the final sample; a consumer that drops each record
-    runs in constant memory. Iterating fails fast with DivergenceError on a
-    non-finite state or CcmViolationError when an inductor current drops
-    below -CCM_TOL.
+    The iterator integrates from t=0 to t_end as it is consumed and yields
+    the initial sample, every record_every-th step, both sides of every load
+    event (same time and state, old and new resistance) and the final
+    sample; a consumer that drops each record runs in constant memory.
+    Iterating fails fast with DivergenceError on a non-finite state or
+    CcmViolationError when an inductor current drops below -CCM_TOL.
     """
-    validate_scenario(scenario)
     return _integrate(scenario, _compile(scenario))
 
 

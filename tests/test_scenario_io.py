@@ -22,7 +22,6 @@ from parbuck import (
     equilibrium,
     format_scenario,
     parse_scenario,
-    validate_scenario,
 )
 from parbuck.scenario_io import init_label
 
@@ -264,16 +263,14 @@ def scenarios(draw):
     label = draw(st.sampled_from(("zero", "equilibrium")))
     state = (equilibrium(p1, p2, schedule[0].R, vref) if label == "equilibrium"
              else PlantState(0.0, 0.0, 0.0, 0.0))
-    scenario = Scenario(
-        p1, p2, gains, vref, schedule, dt=draw(_finite(1e-9, 1e-3)),
-        t_end=draw(_finite(0.0, 10.0)), initial_state=state,
-        record_every=draw(st.integers(1, 10**6)),
-    )
     try:
-        validate_scenario(scenario)
+        return Scenario(
+            p1, p2, gains, vref, schedule, dt=draw(_finite(1e-9, 1e-3)),
+            t_end=draw(_finite(0.0, 10.0)), initial_state=state,
+            record_every=draw(st.integers(1, 10**6)),
+        )
     except (ParameterError, DegenerateConfigError):
         assume(False)
-    return scenario
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

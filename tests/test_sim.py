@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -30,7 +31,6 @@ from parbuck import (
     plant_derivatives,
     run,
     simulate,
-    validate_scenario,
 )
 from parbuck.sim import _compile
 
@@ -359,30 +359,31 @@ def test_cold_start_violates_continuous_conduction(constant_scenario):
 
 
 def test_run_rejects_invalid_scenarios(constant_scenario):
-    for bad in (
-        replace(constant_scenario, dt=0.0),
-        replace(constant_scenario, t_end=-1.0),
-        replace(constant_scenario, Vref=17.0),
-        replace(constant_scenario, load_schedule=()),
-        replace(constant_scenario, load_schedule=(LoadStep(0.01, 10.0),)),
-        replace(constant_scenario, load_schedule=(LoadStep(0.0, 10.0), LoadStep(0.0, 15.0))),
-        replace(constant_scenario, load_schedule=(LoadStep(0.0, -10.0),)),
-        replace(constant_scenario, record_every=0),
+    """run() never meets an invalid scenario: building one raises."""
+    for overrides, message in (
+        (dict(dt=0.0), "dt must be positive, got 0.0"),
+        (dict(t_end=-1.0), "t_end must be nonnegative, got -1.0"),
+        (dict(Vref=17.0), "Vref=17.0 must be below both input voltages (16.0, 16.0)"),
+        (dict(load_schedule=()), "load schedule must have at least one entry"),
+        (dict(load_schedule=(LoadStep(0.01, 10.0),)), "first load entry must be at t=0, got t=0.01"),
+        (dict(load_schedule=(LoadStep(0.0, 10.0), LoadStep(0.0, 15.0))),
+         "load schedule times must be strictly increasing"),
+        (dict(load_schedule=(LoadStep(0.0, -10.0),)), "load resistance must be positive, got -10.0"),
+        (dict(record_every=0), "record_every must be >= 1, got 0"),
     ):
-        with pytest.raises(ParameterError):
-            validate_scenario(bad)
-        with pytest.raises(ParameterError):
-            run(bad)
+        with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
+            replace(constant_scenario, **overrides)
 
 
 def test_step_limit_bounds_the_work(step_scenario):
-    """More than MAX_STEPS steps is rejected by validation, before any step."""
-    validate_scenario(replace(step_scenario, t_end=4.78))  # criterion 2's horizon
+    """More than MAX_STEPS steps is rejected when the scenario is built,
+    before any step."""
+    replace(step_scenario, t_end=4.78)  # criterion 2's horizon
     assert 100.0 / step_scenario.dt == MAX_STEPS
-    validate_scenario(replace(step_scenario, t_end=100.0))
-    for bad in (replace(step_scenario, dt=1e-15), replace(step_scenario, t_end=1e300, dt=1e-300)):
+    replace(step_scenario, t_end=100.0)
+    for bad in (dict(dt=1e-15), dict(t_end=1e300, dt=1e-300)):
         with pytest.raises(ParameterError, match="exceeds the limit"):
-            validate_scenario(bad)
+            replace(step_scenario, **bad)
     text = bundled_scenario_text("load_step")
     assert "dt_s = 1e-6" in text
     with pytest.raises(ScenarioFormatError, match="exceeds the limit"):
