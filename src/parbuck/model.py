@@ -48,7 +48,8 @@ class PlantState:
 
     iL1, iL2 >= 0 and d2 in [0, 1] are operational invariants maintained by
     the simulation loop, not enforced here: integrator stages may evaluate
-    the model marginally outside those ranges.
+    the model marginally outside those ranges. A Scenario holds its initial
+    d2 to [0, 1].
     """
 
     iL1: float

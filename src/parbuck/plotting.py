@@ -41,9 +41,12 @@ unset multiplot
 
 
 def read_csv_header(csv_path: str) -> list[str]:
-    """First line of the CSV as a list of column names."""
+    """First line of the UTF-8 CSV as a list of column names."""
     with open(csv_path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip()
+        try:
+            header = fh.readline().strip()
+        except UnicodeDecodeError as exc:
+            raise CsvFormatError(f"{csv_path}: not UTF-8 text: {exc.reason}") from None
     if not header:
         raise CsvFormatError(f"{csv_path}: empty file, expected a CSV header")
     return header.split(",")

@@ -255,9 +255,13 @@ def format_scenario(scenario: Scenario) -> str:
 
 
 def load_scenario(path: str) -> Scenario:
-    """Read and parse a scenario file from disk."""
+    """Read and parse a UTF-8 scenario file from disk."""
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_scenario(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ScenarioFormatError(f"not UTF-8 text: {exc.reason}") from None
+    return parse_scenario(text)
 
 
 def bundled_scenario_text(name: str) -> str:

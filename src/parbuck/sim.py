@@ -66,6 +66,8 @@ class Scenario:
             raise ParameterError(
                 f"t_end/dt = {s.t_end / s.dt:.6g} steps exceeds the limit of {MAX_STEPS} steps"
             )
+        if type(s.record_every) is not int:
+            raise ParameterError(f"record_every must be an integer, got {s.record_every!r}")
         if s.record_every < 1:
             raise ParameterError(f"record_every must be >= 1, got {s.record_every!r}")
         if not math.isfinite(s.Vref) or s.Vref <= 0.0:
@@ -92,6 +94,8 @@ class Scenario:
             prev = entry.time
         if not s.initial_state.is_finite():
             raise ParameterError(f"initial state must be finite, got {s.initial_state}")
+        if not 0.0 <= s.initial_state.d2 <= 1.0:
+            raise ParameterError(f"initial d2 must be in [0, 1], got {s.initial_state.d2!r}")
         coupling_constant(s.p1, s.p2, s.gains.x_guard)
 
 

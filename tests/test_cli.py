@@ -172,6 +172,20 @@ def test_non_finite_record_cadence_exits_parse(tmp_path, capsys, cadence):
         assert "record_every" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["run", "validate", "plot"])
+def test_non_utf8_input_exits_parse(tmp_path, capsys, command):
+    """A file saved as UTF-16, as some editors do, is named as not UTF-8."""
+    text = bundled_scenario_text("constant_load") if command != "plot" else "t,Vo\n"
+    path = tmp_path / "utf16.in"
+    path.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    argv = [command, str(path)]
+    if command != "validate":
+        argv += ["-o", str(tmp_path / "out")]
+    assert main(argv) == EXIT_PARSE
+    assert "not UTF-8" in capsys.readouterr().err
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_validate_counts_the_steps_run_takes(tmp_path, capsys):
     """An event off the dt grid adds a shortened step: 5.5 + 4.5 steps of
     1 us are 6 + 5 steps, not round(t_end/dt) = 10. With a record every step,

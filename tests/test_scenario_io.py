@@ -21,6 +21,7 @@ from parbuck import (
     bundled_scenario_text,
     equilibrium,
     format_scenario,
+    load_scenario,
     parse_scenario,
 )
 from parbuck.scenario_io import init_label
@@ -159,6 +160,13 @@ def test_bad_init_label_is_rejected():
     text = _mutate("constant_load", "init = equilibrium", "init = warm")
     with pytest.raises(ScenarioFormatError, match="init"):
         parse_scenario(text)
+
+
+def test_non_utf8_file_is_a_format_error(tmp_path):
+    path = tmp_path / "utf16.scn"
+    path.write_bytes(b"\xff\xfe" + bundled_scenario_text("constant_load").encode("utf-16-le"))
+    with pytest.raises(ScenarioFormatError, match="not UTF-8"):
+        load_scenario(str(path))
 
 
 def test_fractional_record_every_is_rejected():

@@ -390,6 +390,21 @@ def test_step_limit_bounds_the_work(step_scenario):
         parse_scenario(text.replace("dt_s = 1e-6", "dt_s = 1e-15"))
 
 
+@pytest.mark.parametrize("cadence", [float("nan"), 2.5, True])
+def test_record_every_must_be_an_integer(constant_scenario, cadence):
+    """A cadence that is not an int records at other steps than it names
+    (nan records only t=0 and t_end), and its file form does not parse."""
+    with pytest.raises(ParameterError, match="record_every must be an integer"):
+        replace(constant_scenario, record_every=cadence)
+
+
+@pytest.mark.parametrize("d2", [1.5, -0.25])
+def test_initial_d2_must_be_a_duty(constant_scenario, d2):
+    """Leg 2 cannot apply a duty outside [0, 1], so no run starts from one."""
+    with pytest.raises(ParameterError, match=r"initial d2 must be in \[0, 1\]"):
+        replace(constant_scenario, initial_state=PlantState(1.0, 0.5, 8.0, d2))
+
+
 def test_record_cadence_counts_steps(constant_scenario):
     """record_every=10 on a 100-step run records t=0, every 10th step, t_end."""
     scn = replace(constant_scenario, t_end=100e-6, record_every=10)
