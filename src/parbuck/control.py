@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from .errors import DegenerateConfigError, ParameterError
-from .model import ConverterParams, PlantState
+from .model import ConverterParams, PlantState, is_finite_real
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,15 @@ class ControlGains:
     duty_max: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.k1) or self.k1 <= 0.0:
-            raise ParameterError(f"k1 must be positive, got {self.k1!r}")
-        if not math.isfinite(self.k2) or self.k2 <= 0.0:
-            raise ParameterError(f"k2 must be positive, got {self.k2!r}")
-        if not math.isfinite(self.x_guard) or self.x_guard <= 0.0:
-            raise ParameterError(f"x_guard must be positive, got {self.x_guard!r}")
-        if not (0.0 <= self.duty_min < self.duty_max <= 1.0):
+        for name in ("k1", "k2", "x_guard"):
+            value = getattr(self, name)
+            if not is_finite_real(value) or value <= 0.0:
+                raise ParameterError(f"{name} must be positive, got {value!r}")
+        if not (
+            is_finite_real(self.duty_min)
+            and is_finite_real(self.duty_max)
+            and 0.0 <= self.duty_min < self.duty_max <= 1.0
+        ):
             raise ParameterError(
                 f"duty bounds must satisfy 0 <= duty_min < duty_max <= 1, "
                 f"got [{self.duty_min!r}, {self.duty_max!r}]"

@@ -22,6 +22,16 @@ from typing import NamedTuple
 from .errors import InfeasibleOperatingPointError, NumericDomainError, ParameterError
 
 
+def is_finite_real(value) -> bool:
+    """Whether value is an int or a float, not a bool, and finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 @dataclass(frozen=True)
 class ConverterParams:
     """Physical constants of one converter leg.
@@ -38,7 +48,7 @@ class ConverterParams:
     def __post_init__(self):
         for name in ("L", "C", "Vin", "Imax"):
             value = getattr(self, name)
-            if not math.isfinite(value) or value <= 0.0:
+            if not is_finite_real(value) or value <= 0.0:
                 raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 

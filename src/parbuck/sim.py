@@ -15,7 +15,7 @@ from typing import Iterator, NamedTuple
 
 from .control import ControlGains, coupling_constant
 from .errors import CcmViolationError, DivergenceError, ParameterError
-from .model import ConverterParams, PlantState, equilibrium
+from .model import ConverterParams, PlantState, equilibrium, is_finite_real
 
 # Inductor current below -CCM_TOL amperes counts as a genuine loss of
 # continuous conduction rather than integration noise.
@@ -41,7 +41,8 @@ class Scenario:
     from its time (inclusive) until the next entry. Construction, and so
     dataclasses.replace, checks every field and the relations between them:
     a violation raises ParameterError, and a converter pair the sharing law
-    cannot tell apart raises DegenerateConfigError.
+    cannot tell apart raises DegenerateConfigError. Numeric fields take an
+    int or a float, never a bool; load_schedule takes a tuple of LoadStep.
     """
 
     p1: ConverterParams
@@ -56,9 +57,15 @@ class Scenario:
 
     def __post_init__(self):
         s = self
-        if not math.isfinite(s.dt) or s.dt <= 0.0:
+        for name, kind in (
+            ("p1", ConverterParams), ("p2", ConverterParams),
+            ("gains", ControlGains), ("initial_state", PlantState),
+        ):
+            if not isinstance(getattr(s, name), kind):
+                raise ParameterError(f"{name} must be a {kind.__name__}, got {getattr(s, name)!r}")
+        if not is_finite_real(s.dt) or s.dt <= 0.0:
             raise ParameterError(f"dt must be positive, got {s.dt!r}")
-        if not math.isfinite(s.t_end) or s.t_end < 0.0:
+        if not is_finite_real(s.t_end) or s.t_end < 0.0:
             raise ParameterError(f"t_end must be nonnegative, got {s.t_end!r}")
         # For an integer bound, ceil(t_end/dt) > MAX_STEPS iff t_end/dt > MAX_STEPS;
         # comparing the quotient itself also covers its overflow to inf.
@@ -70,32 +77,47 @@ class Scenario:
             raise ParameterError(f"record_every must be an integer, got {s.record_every!r}")
         if s.record_every < 1:
             raise ParameterError(f"record_every must be >= 1, got {s.record_every!r}")
-        if not math.isfinite(s.Vref) or s.Vref <= 0.0:
+        if not is_finite_real(s.Vref) or s.Vref <= 0.0:
             raise ParameterError(f"Vref must be positive, got {s.Vref!r}")
         if s.Vref >= min(s.p1.Vin, s.p2.Vin):
             raise ParameterError(
                 f"Vref={s.Vref!r} must be below both input voltages "
                 f"({s.p1.Vin!r}, {s.p2.Vin!r})"
             )
+        # A tuple, so that the Scenario stays hashable and round-trips
+        # through format_scenario.
+        if not isinstance(s.load_schedule, tuple) or not all(
+            isinstance(entry, LoadStep) for entry in s.load_schedule
+        ):
+            raise ParameterError(
+                f"load schedule must be a tuple of LoadStep entries, got {s.load_schedule!r}"
+            )
         if not s.load_schedule:
             raise ParameterError("load schedule must have at least one entry")
-        if s.load_schedule[0].time != 0.0:
-            raise ParameterError(
-                f"first load entry must be at t=0, got t={s.load_schedule[0].time!r}"
-            )
         prev = -math.inf
         for entry in s.load_schedule:
-            if not math.isfinite(entry.time):
+            if not is_finite_real(entry.time):
                 raise ParameterError(f"load entry time must be finite, got {entry.time!r}")
-            if not math.isfinite(entry.R) or entry.R <= 0.0:
+            if not is_finite_real(entry.R) or entry.R <= 0.0:
                 raise ParameterError(f"load resistance must be positive, got {entry.R!r}")
             if entry.time <= prev:
                 raise ParameterError("load schedule times must be strictly increasing")
             prev = entry.time
-        if not s.initial_state.is_finite():
-            raise ParameterError(f"initial state must be finite, got {s.initial_state}")
-        if not 0.0 <= s.initial_state.d2 <= 1.0:
-            raise ParameterError(f"initial d2 must be in [0, 1], got {s.initial_state.d2!r}")
+        if s.load_schedule[0].time != 0.0:
+            raise ParameterError(
+                f"first load entry must be at t=0, got t={s.load_schedule[0].time!r}"
+            )
+        state = s.initial_state
+        if not all(is_finite_real(x) for x in (state.iL1, state.iL2, state.Vo, state.d2)):
+            raise ParameterError(f"initial state must be finite, got {state}")
+        if not 0.0 <= state.d2 <= 1.0:
+            raise ParameterError(f"initial d2 must be in [0, 1], got {state.d2!r}")
+        # The run would raise CcmViolationError at its first step.
+        for name, value in (("iL1", state.iL1), ("iL2", state.iL2)):
+            if value < -CCM_TOL:
+                raise ParameterError(
+                    f"initial {name} must not be below -CCM_TOL = {-CCM_TOL!r} A, got {value!r}"
+                )
         coupling_constant(s.p1, s.p2, s.gains.x_guard)
 
 
@@ -233,11 +255,13 @@ _LOW, _INTERIOR, _HIGH = 0, 1, 2  # regime of the d1 clamp at one RK4 stage
 def _compile(scenario: Scenario):
     """Compile the closed loop of one scenario into a fixed-step RK4 kernel.
 
-    Returns ``step_at(R)``, which gives the step function and the record
-    builder at load ``R``:
+    Returns ``step_at(R)``, which gives the step function, the record
+    builder and the jump at load ``R``:
     ``step(t_next, h, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2, sat2)``, one
-    step of length h that ends at time t_next, and
-    ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord``.
+    step of length h that ends at time t_next,
+    ``record(t, iL1, iL2, Vo, d2, sat2) -> TraceRecord`` and
+    ``jump(n, iL1, iL2, Vo, d2) -> (iL1, iL2, Vo, d2) | None``, n <=
+    record_every full steps at once, or None where no jump is possible.
 
     The control law is written once: controller_step's expression chain,
     split at the d1 clamp, its one non-affine operation, into voltage_law
@@ -261,6 +285,15 @@ def _compile(scenario: Scenario):
     scalar RK4 of controller_step and plant_derivatives to rounding, not
     bit for bit.
 
+    n all-interior steps with d2 unclamped are the interior map's n-th
+    power. When record_every > 1, step_at certifies that region for the
+    load (parbuck.modal, imported on first use): jump(n, ...) returns the
+    state after n steps, that power applied once, if the certificate proves
+    every one of the n steps stays interior, d2 unclamped and both currents
+    at or above -CCM_TOL, and None otherwise. jump is None when the interior
+    poles are not two complex pairs or the map is not a certified
+    contraction in their modal basis.
+
     Non-finiteness is checked once per step, on the new state. d2 is checked
     before it is clamped to [0, 1], since the clamp would absorb an inf;
     sat2 reports whether the clamp changed it. Raises DivergenceError at
@@ -270,7 +303,7 @@ def _compile(scenario: Scenario):
     L1, Vin1, Imax1 = p1.L, p1.Vin, p1.Imax
     L2, Vin2, Imax2 = p2.L, p2.Vin, p2.Imax
     k1, k2, duty_min, duty_max = gains.k1, gains.k2, gains.duty_min, gains.duty_max
-    Vref, dt = scenario.Vref, scenario.dt
+    Vref, dt, every = scenario.Vref, scenario.dt, scenario.record_every
     Ctot = p1.C + p2.C
     IL1 = Imax1 * L1
     IL2 = Imax2 * L2
@@ -353,13 +386,32 @@ def _compile(scenario: Scenario):
             return state_map(h, regimes)
 
         interior = (_INTERIOR,) * 4
+        guards = [stage(dt, interior[:n])[2].c for n in range(4)]
+        interior_map = [form.c for form in state_map(dt, interior)]
         (g10, g11, g12, g13, g14), (g20, g21, g22, g23, g24), \
-            (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = (
-                stage(dt, interior[:n])[2].c for n in range(4)
-            )
+            (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = guards
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
-            (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = (
-                form.c for form in state_map(dt, interior)
+            (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
+        jump = None
+        if every > 1:
+            from .modal import certify
+
+            # A step stays on interior_map while h·u + c <= bound holds for
+            # both duty bounds of each stage guard before it, and for
+            # iL1, iL2 >= -CCM_TOL and 0 <= d2 <= 1 after it.
+            halfspaces = [
+                halfspace
+                for *g, g4 in guards
+                for halfspace in ((g, g4, duty_max), ([-x for x in g], -g4, -duty_min))
+            ] + [
+                ((-1.0, 0.0, 0.0, 0.0), -s0, CCM_TOL),
+                ((0.0, -1.0, 0.0, 0.0), -s1, CCM_TOL),
+                ((0.0, 0.0, 0.0, 1.0), s3, 1.0),
+                ((0.0, 0.0, 0.0, -1.0), -s3, 0.0),
+            ]
+            jump = certify(
+                [row.c[:4] for row in fields[_INTERIOR]],
+                interior_map, (s0, s1, s2, s3), halfspaces, every,
             )
 
         def step(t_next, h, iL1, iL2, Vo, d2):
@@ -411,7 +463,7 @@ def _compile(scenario: Scenario):
                 R, d1 != raw, sat2,
             )
 
-        return step, record
+        return step, record, jump
 
     return step_at
 
@@ -433,13 +485,17 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
     """The generator simulate() returns: one pass over the segment plan.
 
     Each segment's kernel is built when the run enters it and dropped when
-    the run leaves it.
+    the run leaves it. At the segment's start and after each record, the run
+    tries to jump to the next record step or to the segment's last full
+    step, whichever comes first; where the jump's certificate fails, it
+    steps to the next record step and tries again. Remainder steps are
+    always stepped, and with record_every = 1 no jump is tried.
     """
     plan = _segments(scenario)
     first = next(plan)
     state = scenario.initial_state
     iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
-    step, record = step_at(first.R)
+    step, record, jump = step_at(first.R)
     yield record(0.0, iL1, iL2, Vo, d2, False)
     if scenario.t_end == 0.0:
         return
@@ -451,19 +507,37 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
     for k, (seg_start, seg_end, R, n_full, remainder) in enumerate(chain((first,), plan)):
         if k:
             # The far side of a load event: same time and state, new load.
-            step, record = step_at(R)
+            step, record, jump = step_at(R)
             yield record(seg_start, iL1, iL2, Vo, d2, sat2)
         n_sub = n_full + (remainder > 0.0)
-        for i in range(1, n_sub + 1):
-            h = dt if i <= n_full else remainder
-            t_next = seg_end if i == n_sub else seg_start + i * dt
-            iL1, iL2, Vo, d2, sat2 = step(t_next, h, iL1, iL2, Vo, d2)
-            steps += 1
-            if iL1 < ccm_floor or iL2 < ccm_floor:
-                name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
-                raise CcmViolationError(t_next, name, value)
-            if steps % every == 0 and t_next != seg_end:
-                yield record(t_next, iL1, iL2, Vo, d2, sat2)
+        i = 0
+        while i < n_sub:
+            stop = n_sub
+            if jump is not None:
+                # Up to the next record step, but never past the last full step.
+                to_record = every - steps % every
+                n = min(to_record, n_full - i)
+                got = jump(n, iL1, iL2, Vo, d2) if n > 1 else None
+                if got is not None:
+                    iL1, iL2, Vo, d2 = got
+                    sat2 = False
+                    i += n
+                    steps += n
+                    t_next = seg_end if i == n_sub else seg_start + i * dt
+                    if steps % every == 0 and t_next != seg_end:
+                        yield record(t_next, iL1, iL2, Vo, d2, sat2)
+                    continue
+                stop = min(i + to_record, n_sub)
+            for i in range(i + 1, stop + 1):
+                h = dt if i <= n_full else remainder
+                t_next = seg_end if i == n_sub else seg_start + i * dt
+                iL1, iL2, Vo, d2, sat2 = step(t_next, h, iL1, iL2, Vo, d2)
+                steps += 1
+                if iL1 < ccm_floor or iL2 < ccm_floor:
+                    name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
+                    raise CcmViolationError(t_next, name, value)
+                if steps % every == 0 and t_next != seg_end:
+                    yield record(t_next, iL1, iL2, Vo, d2, sat2)
         # Segment boundary: the near side of a load event, or t_end.
         yield record(seg_end, iL1, iL2, Vo, d2, sat2)
 

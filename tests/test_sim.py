@@ -8,17 +8,23 @@ import math
 import random
 import re
 import tracemalloc
-from dataclasses import replace
+from itertools import islice
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parbuck import (
     MAX_STEPS,
     CcmViolationError,
+    ControlGains,
+    ConverterParams,
     DivergenceError,
     LoadStep,
     ParameterError,
+    ParbuckError,
     PlantState,
     Scenario,
     ScenarioFormatError,
@@ -32,7 +38,7 @@ from parbuck import (
     run,
     simulate,
 )
-from parbuck.sim import _compile
+from parbuck.sim import CCM_TOL, _compile, _integrate, step_count
 
 import identities
 import numerics
@@ -69,18 +75,18 @@ def test_order_four_at_simulation_step_sizes():
 
 def _oracle_step(scn: Scenario, state: PlantState) -> tuple:
     """rk4_update over plant_derivatives after controller_step, unclamped,
-    and whether d1 was clamped at each of the four stages."""
+    and the controller's signals at each of the four stages."""
     R = scn.load_schedule[0].R
-    clamped = []
+    signals = []
 
     def f(y):
         s = PlantState(*y)
         cmd = controller_step(s, scn.Vref, R, scn.p1, scn.p2, scn.gains)
-        clamped.append(cmd.saturated)
+        signals.append(cmd)
         return tuple(plant_derivatives(s, scn.p1, scn.p2, R, cmd.d1, cmd.d2_dot))
 
     y = numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), scn.dt)
-    return y, clamped
+    return y, signals
 
 
 def _kernel_cases():
@@ -112,7 +118,7 @@ def _kernel_cases():
 def _kernel_step(scn: Scenario, state: PlantState, dt: float) -> tuple:
     """One step of length dt from t=0 through the compiled kernel that
     simulate() runs, at the scenario's first load: (iL1, iL2, Vo, d2, sat2)."""
-    step, _ = _compile(scn)(scn.load_schedule[0].R)
+    step = _compile(scn)(scn.load_schedule[0].R)[0]
     return step(dt, dt, state.iL1, state.iL2, state.Vo, state.d2)
 
 
@@ -130,7 +136,8 @@ def test_kernel_step_equals_generic_kernel():
     paths = {"interior": 0, "clamped": 0, "mixed": 0}
     worst = 0.0
     for scn, state in _kernel_cases():
-        (*currents_and_vo, d2), stage_clamps = _oracle_step(scn, state)
+        (*currents_and_vo, d2), signals = _oracle_step(scn, state)
+        stage_clamps = [sig.saturated for sig in signals]
         clamped = min(max(d2, 0.0), 1.0)
         *stepped, sat2 = _kernel_step(scn, state, scn.dt)
         want = (*currents_and_vo, clamped)
@@ -154,13 +161,15 @@ def test_kernel_step_equals_generic_kernel():
 def test_compiled_record_equals_controller_step():
     """Every record field is controller_step's value at the recorded state.
 
-    The record comes from the compiled kernel; run() on a zero horizon gives
-    exactly one, at the initial state, on the kernel test's cases.
+    The record comes from the compiled kernel's record builder, called on
+    the kernel test's cases; some of their states start below -CCM_TOL, so
+    no Scenario could hold them as its initial state.
     """
     n = d1_saturated = 0
     for scn, state in _kernel_cases():
-        (rec,) = run(replace(scn, initial_state=state, t_end=0.0))
         R = scn.load_schedule[0].R
+        record = _compile(scn)(R)[1]
+        rec = record(0.0, state.iL1, state.iL2, state.Vo, state.d2, False)
         sig = controller_step(state, scn.Vref, R, scn.p1, scn.p2, scn.gains)
         assert rec == (
             0.0, state.iL1, state.iL2, state.Vo, sig.d1, state.d2, sig.d2_dot, sig.e,
@@ -173,7 +182,10 @@ def test_compiled_record_equals_controller_step():
 
 
 def test_kernel_step_preserves_equilibrium(constant_scenario):
-    """The analytic fixed point survives a step to 1e-12 relative."""
+    """The analytic fixed point survives a step, and a jump where the map is
+    a certified contraction, to 1e-12 relative. At dt = 1e-3 the voltage
+    pair's |lambda|·dt is about 50, outside RK4's stability region, so that
+    scenario certifies no jump."""
     eq = equilibrium(constant_scenario.p1, constant_scenario.p2, 10.0, 8.0)
     for dt in (1e-6, 1e-5, 1e-3):
         *new, sat2 = _kernel_step(constant_scenario, eq, dt)
@@ -181,6 +193,214 @@ def test_kernel_step_preserves_equilibrium(constant_scenario):
         for name, after in zip(("iL1", "iL2", "Vo", "d2"), new):
             before = getattr(eq, name)
             assert after == pytest.approx(before, rel=1e-12), f"{name} moved at dt={dt}"
+        jump = _compile(replace(constant_scenario, dt=dt))(10.0)[2]
+        if dt == 1e-3:
+            assert jump is None
+            continue
+        for n in (2, 37, constant_scenario.record_every):
+            jumped = jump(n, eq.iL1, eq.iL2, eq.Vo, eq.d2)
+            for name, after in zip(("iL1", "iL2", "Vo", "d2"), jumped):
+                before = getattr(eq, name)
+                assert after == pytest.approx(before, rel=1e-12), f"{name} moved in {n} steps at dt={dt}"
+
+
+def _certified_setups(step_scenario):
+    """(scenario, step, jump) for each setup that certifies jumps: the
+    bundled pair at both of its loads, then the distinct setups of
+    _kernel_cases, each with its first load as its only load."""
+    scenarios = [
+        replace(step_scenario, load_schedule=(LoadStep(0.0, R),)) for R in (10.0, 15.0)
+    ]
+    for scn, _ in _kernel_cases():
+        if scn is not scenarios[-1]:
+            scenarios.append(scn)
+    for scn in scenarios:
+        step, _, jump = _compile(scn)(scn.load_schedule[0].R)
+        if jump is not None:
+            yield scn, step, jump
+
+
+def test_bundled_interior_poles(step_scenario):
+    """The jump's modal basis comes with one pole of each pair of the
+    interior loop: on the bundled pair at 10 ohm, the sharing pair
+    -1.4 ± 355j (the figures of the parbuck.control docstring) and the
+    voltage pair -2.75e4 ± 4.18e4j."""
+    slow, fast = _compile(step_scenario)(10.0)[2].poles
+    assert slow == pytest.approx(-1.4 + 354.964j, rel=1e-6)
+    assert fast == pytest.approx(-27500.5 + 41758.56j, rel=1e-6)
+
+
+def _state_at(jump, z):
+    """The absolute state whose modal coordinates about the jump's fixed
+    point are z."""
+    return tuple(f + sum(v * zi for v, zi in zip(row, z)) for f, row in zip(jump.fixed, jump.basis))
+
+
+def _step_n(step, dt, n, state):
+    """n full steps of the kernel, and whether any of them clamped d2."""
+    clamped = False
+    for i in range(1, n + 1):
+        *state, sat2 = step(i * dt, dt, *state)
+        clamped |= sat2
+    return tuple(state), clamped
+
+
+def test_jump_equals_repeated_steps(step_scenario):
+    """jump(n) equals n calls of step to 1e-10 of each component's size,
+    from certified states near each setup's fixed point."""
+    rng = random.Random(2718)
+    setups = worst = 0.0
+    for scn, step, jump in _certified_setups(step_scenario):
+        setups += 1
+        scale = (scn.p1.Imax, scn.p2.Imax, scn.Vref, 1.0)
+        for _ in range(3):
+            # Halve the draw until it is certified; at the fixed point it is.
+            for k in range(60):
+                z = [rng.uniform(-1.0, 1.0) * 0.5 ** k for _ in range(4)]
+                start = _state_at(jump, z)
+                if jump(scn.record_every, *start) is not None:
+                    break
+            for n in (2, 13, scn.record_every):
+                jumped = jump(n, *start)
+                assert jumped is not None
+                stepped, clamped = _step_n(step, scn.dt, n, start)
+                assert not clamped
+                for got, want, size in zip(jumped, stepped, scale):
+                    worst = max(worst, abs(got - want) / size)
+                    assert abs(got - want) <= 1e-10 * size
+    print(f"\n  {setups:.0f} certified setups; worst error {worst:.2e} of the component scale")
+    assert setups >= 40
+
+
+def _on_bound(rng, jump, row, aligned):
+    """Modal coordinates z with radii on one half-space's certified line
+    a0·r0 + a1·r1 = slack, and per plane a phase along that half-space's
+    normal (aligned: its value starts at the bound) or a random one (the
+    rotation can carry it there later)."""
+    h = jump.halfspaces[row][0]
+    a0, a1, slack = jump.rows[row]
+    hv = [sum(x * v for x, v in zip(h, col)) for col in zip(*jump.basis)]
+    share = rng.random()
+    z = []
+    for (p, q), r in zip((hv[:2], hv[2:]), (share * slack / a0, (1.0 - share) * slack / a1)):
+        phase = math.atan2(q, p) + (0.0 if aligned else rng.uniform(-math.pi, math.pi))
+        z += [r * math.cos(phase), r * math.sin(phase)]
+    return z
+
+
+def test_jump_half_spaces_are_the_step_conditions(step_scenario):
+    """The twelve half-spaces h·u + c <= bound say what a step on the
+    interior map needs: at interior states, the four guard values are the
+    readable controller's d1 at the four RK4 stages, each bounded above by
+    duty_max and, negated, below by duty_min; the other four are -iL1,
+    -iL2 <= CCM_TOL, d2 <= 1 and -d2 <= 0."""
+    rng = random.Random(99)
+    checked = 0
+    for scn, _, jump in islice(_certified_setups(step_scenario), 12):
+        gains, R = scn.gains, scn.load_schedule[0].R
+        assert [bound for *_, bound in jump.halfspaces] == (
+            [gains.duty_max, -gains.duty_min] * 4 + [CCM_TOL, CCM_TOL, 1.0, 0.0]
+        )
+        for _ in range(4):
+            state, _ = identities.unsaturated_sample(rng, scn.p1, scn.p2, gains, R, scn.Vref)
+            _, signals = _oracle_step(scn, state)
+            if any(sig.saturated for sig in signals):
+                continue
+            u = [x - s for x, s in zip((state.iL1, state.iL2, state.Vo, state.d2), jump.star)]
+            values = [sum(x * y for x, y in zip(h, u)) + c for h, c, _ in jump.halfspaces]
+            want = [d for sig in signals for d in (sig.d1, -sig.d1)] + [
+                -state.iL1, -state.iL2, state.d2, -state.d2,
+            ]
+            assert values == pytest.approx(want, rel=1e-9, abs=1e-12)
+            checked += 1
+    assert checked >= 30
+
+
+def test_jump_certificate_bounds_each_half_space(step_scenario):
+    """Started anywhere on a half-space's certified line, n steps of the
+    interior map keep h·u + c <= bound, for each of the twelve half-spaces
+    on its own, whether or not it is the one that binds."""
+    rng = random.Random(1414)
+    worst = -math.inf
+    for index, (scn, step, jump) in enumerate(_certified_setups(step_scenario)):
+        for row, (h, c, bound) in enumerate(jump.halfspaces):
+            for draw in range(8 if index < 2 else 2):
+                start = _state_at(jump, _on_bound(rng, jump, row, draw % 2 == 0))
+                u = [x - s for x, s in zip(start, jump.star)]
+                for k in range(scn.record_every + 1):
+                    value = sum(x * y for x, y in zip(h, u)) + c
+                    worst = max(worst, (value - bound) / (abs(bound) + abs(c)))
+                    assert value <= bound, f"half-space {row} left at step {k}"
+                    u = [sum(x * y for x, y in zip(m[:4], u)) + m[4] for m in jump.state_map]
+    print(f"\n  closest approach to a bound {worst:.2e} of its scale")
+
+
+def test_jump_certificate_is_sound(step_scenario):
+    """States drawn just inside the certified region, each one pushing one
+    half-space to its certified bound: whenever the check passes, each of
+    the n skipped steps keeps all four stage guards within the duty bounds
+    (the readable oracle clamps d1 at no stage), never clamps d2 and keeps
+    both currents at or above -CCM_TOL.
+
+    The check reads only the radii (r0, r1) of the two modal planes, so a
+    draw on one half-space's line is shrunk into every other half-space's.
+    """
+    rng = random.Random(1618)
+    binding = collections.Counter()
+    drawn = 0
+    for index, (scn, step, jump) in enumerate(_certified_setups(step_scenario)):
+        n = scn.record_every
+        for row in range(len(jump.halfspaces)):
+            for draw in range(6 if index < 2 else 1):
+                z = _on_bound(rng, jump, row, draw % 2 == 0)
+                r0, r1 = math.hypot(*z[:2]), math.hypot(*z[2:])
+                fits = [s / (b0 * r0 + b1 * r1) for b0, b1, s in jump.rows]
+                binding[fits.index(min(fits))] += 1
+                state = _state_at(jump, [x * min(fits) * (1.0 - 1e-9) for x in z])
+                jumped = jump(n, *state)
+                assert jumped is not None
+                drawn += 1
+                for i in range(1, n + 1):
+                    _, signals = _oracle_step(scn, PlantState(*state))
+                    assert not any(sig.saturated for sig in signals), \
+                        f"d1 clamped at step {i} of {n}, half-space {row}"
+                    *state, sat2 = step(i * scn.dt, scn.dt, *state)
+                    assert not sat2, f"d2 clamped at step {i} of {n}, half-space {row}"
+                    assert min(state[0], state[1]) >= -CCM_TOL
+                for got, want in zip(jumped, state):
+                    assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+    print(f"\n  {drawn} certified draws; binding half-space counts {sorted(binding.items())}")
+    assert drawn >= 500
+
+
+def _count_steps(scenario):
+    """(records, steps taken one at a time) of draining simulate()'s run."""
+    step_at = _compile(scenario)
+    stepped = 0
+
+    def counting_step_at(R):
+        step, record, jump = step_at(R)
+
+        def counted(*args):
+            nonlocal stepped
+            stepped += 1
+            return step(*args)
+
+        return counted, record, jump
+
+    records = sum(1 for _ in _integrate(scenario, counting_step_at))
+    return records, stepped
+
+
+def test_bundled_load_step_jumps_almost_every_step(step_scenario):
+    """On the bundled load step, accepted jumps cover at least 99% of the
+    steps; with a record at every step, none is jumped."""
+    records, stepped = _count_steps(step_scenario)
+    total = step_count(step_scenario)
+    print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
+    assert records == 2002 and total - stepped >= 0.99 * total
+    dense = replace(step_scenario, t_end=0.001, record_every=1)
+    assert _count_steps(dense)[1] == step_count(dense)
 
 
 def test_closed_loop_richardson_fourth_order(constant_scenario):
@@ -200,7 +420,7 @@ def test_kernel_step_divergence_names_time_and_component(constant_scenario):
     """An overflow raises DivergenceError naming the component and the end
     time of the step that overflowed, as passed to the kernel."""
     eq = equilibrium(constant_scenario.p1, constant_scenario.p2, 10.0, 8.0)
-    step, _ = _compile(constant_scenario)(10.0)
+    step = _compile(constant_scenario)(10.0)[0]
     dt = 1e100
     state = (eq.iL1, eq.iL2, eq.Vo + 1e-6, eq.d2)
     with pytest.raises(DivergenceError) as err:
@@ -214,7 +434,7 @@ def test_kernel_step_divergence_names_time_and_component(constant_scenario):
 
 # sha256 of the two bundled-load-step CSVs, so that any change to the
 # kernel's arithmetic shows, however small.
-LOAD_STEP_SHA256 = "8b196f843e0597ec6fc454ba08fe1407b2d8bd26f1957b7d412c2d56a509c7be"
+LOAD_STEP_SHA256 = "4d525838c44304ffa0742f29444e36fa978ec0233e6150ff224bf70703a498f7"
 DENSE_TRACE_SHA256 = "25510fd15172e685122623edda80d57e1a87bbac31fc2fd0279a63b508acfa17"
 
 
@@ -281,6 +501,24 @@ def test_drained_run_memory_does_not_grow_with_the_schedule(step_scenario):
         tracemalloc.stop()
     print(f"\n  peak {peaks[0] / 1024:.1f} KiB (20 events), {peaks[1] / 1024:.1f} KiB (200 events)")
     assert peaks[1] <= 1.5 * peaks[0]
+
+
+def test_drained_run_leaves_no_reference_cycles(step_scenario):
+    """Each segment's kernel, its jump included, is freed by reference
+    counting alone: draining a 19-event run whose 1 ms segments jump leaves
+    nothing for the cycle collector, which stays off during the drain so
+    that it cannot clear cycles early."""
+    events = tuple(LoadStep(i * 1e-3 + 3.7e-7, (15.0, 10.0)[i % 2]) for i in range(1, 20))
+    scn = replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.02)
+    assert _count_steps(scn)[1] < step_count(scn) / 10
+    gc.collect()
+    gc.disable()
+    try:
+        collections.deque(simulate(scn), maxlen=0)
+        found = gc.collect()
+    finally:
+        gc.enable()
+    assert found == 0
 
 
 # ── Run loop ──────────────────────────────────────────────────────────────────
@@ -403,6 +641,82 @@ def test_initial_d2_must_be_a_duty(constant_scenario, d2):
     """Leg 2 cannot apply a duty outside [0, 1], so no run starts from one."""
     with pytest.raises(ParameterError, match=r"initial d2 must be in \[0, 1\]"):
         replace(constant_scenario, initial_state=PlantState(1.0, 0.5, 8.0, d2))
+
+
+@pytest.mark.parametrize("name", ["iL1", "iL2"])
+def test_initial_current_below_ccm_tolerance_is_rejected(constant_scenario, name):
+    """A run from such a state would raise CcmViolationError at its first
+    step, so no Scenario holds one; -CCM_TOL itself is a valid start."""
+    start = constant_scenario.initial_state
+    replace(constant_scenario, initial_state=replace(start, **{name: -CCM_TOL}))
+    with pytest.raises(ParameterError, match=f"^initial {name} must not be below -CCM_TOL"):
+        replace(constant_scenario, initial_state=replace(start, **{name: -2e-9}))
+
+
+@pytest.mark.parametrize("schedule", [
+    ((0.0, 10.0),),
+    [LoadStep(0.0, 10.0)],
+    LoadStep(0.0, 10.0),
+    (LoadStep(0.0, True),),
+    (LoadStep(False, 10.0),),
+    (LoadStep(0.0, "10"),),
+    (LoadStep(0.0, 10.0), LoadStep(10**400, 15.0)),
+], ids=["pairs", "list", "bare-entry", "bool-R", "bool-time", "str-R", "huge-int"])
+def test_load_schedule_must_be_a_tuple_of_real_load_steps(constant_scenario, schedule):
+    """Only a tuple of LoadStep with int or float fields is a schedule: a
+    list would leave the Scenario unhashable and break its file round trip."""
+    with pytest.raises(ParameterError):
+        replace(constant_scenario, load_schedule=schedule)
+
+
+_JUNK = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=2),
+    st.fractions(), st.decimals(), st.complex_numbers(), st.lists(st.floats(), max_size=2),
+)
+_ENTRY = st.one_of(
+    st.builds(LoadStep, st.floats(0.0, 1.0), st.floats(1.0, 20.0)),
+    st.builds(LoadStep, _JUNK, _JUNK),
+    st.tuples(st.floats(), st.floats()),
+    _JUNK,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_scenario_from_arbitrary_fields_raises_only_parbuck_errors(constant_scenario, data):
+    """Building a Scenario, and its ConverterParams and ControlGains, from
+    any field values either succeeds or raises a ParbuckError; never a
+    TypeError or an AttributeError. Each field keeps the bundled value or
+    takes an arbitrary one."""
+
+    def value(good):
+        return data.draw(st.one_of(st.just(good), _JUNK))
+
+    def part(kind, good):
+        if data.draw(st.booleans()):
+            return data.draw(_JUNK)
+        return kind(**{f.name: value(getattr(good, f.name)) for f in fields(kind)})
+
+    base = constant_scenario
+    try:
+        Scenario(
+            p1=part(ConverterParams, base.p1),
+            p2=part(ConverterParams, base.p2),
+            gains=part(ControlGains, base.gains),
+            Vref=value(base.Vref),
+            load_schedule=data.draw(st.one_of(
+                st.just(base.load_schedule),
+                st.lists(_ENTRY, max_size=3).map(tuple),
+                st.lists(_ENTRY, max_size=3),
+                _JUNK,
+            )),
+            dt=value(base.dt),
+            t_end=value(base.t_end),
+            initial_state=part(PlantState, base.initial_state),
+            record_every=value(base.record_every),
+        )
+    except ParbuckError:
+        pass
 
 
 def test_record_cadence_counts_steps(constant_scenario):
