@@ -25,7 +25,8 @@ holds if
 where a_i = |(h·V)_i| is the norm of h's component on plane i. With
 |z| <= r0 + r1, one check at the start state covers every step of a jump of
 at most n_max steps. Each slack is shrunk by MARGIN·(|bound| + |c|), far
-above the rounding of the basis, of the skipped float steps and of the check.
+above the rounding of the basis (V·W must equal I to 1e-12, or no
+certificate is built), of the skipped float steps and of the check.
 
 Everything here is pure Python on 4x4 matrices (lists of rows).
 """
@@ -157,16 +158,19 @@ def _compose(p, q):
     """The affine map p∘q; a map is 4 rows of 4 linear coefficients and a
     constant."""
     (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), (d0, d1, d2, d3, d4) = q
-    return [
-        [
+    # A loop, not a comprehension: one would close over the 20 names above,
+    # and each call would leave its 20-tuple of cells parked on CPython's
+    # tuple free list (up to 2000 of them, 400 KiB).
+    rows = []
+    for x0, x1, x2, x3, x4 in p:
+        rows.append([
             x0 * a0 + x1 * b0 + x2 * c0 + x3 * d0,
             x0 * a1 + x1 * b1 + x2 * c1 + x3 * d1,
             x0 * a2 + x1 * b2 + x2 * c2 + x3 * d2,
             x0 * a3 + x1 * b3 + x2 * c3 + x3 * d3,
             x0 * a4 + x1 * b4 + x2 * c4 + x3 * d4 + x4,
-        ]
-        for x0, x1, x2, x3, x4 in p
-    ]
+        ])
+    return rows
 
 
 def modal_basis(a):
@@ -239,9 +243,13 @@ class Jump:
             power = self._powers[n] = self._power(n)
         s0, s1, s2, s3 = self.star
         u0, u1, u2, u3 = iL1 - s0, iL2 - s1, Vo - s2, d2 - s3
-        return tuple(
-            s + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4)
-            for s, (c0, c1, c2, c3, c4) in zip(self.star, power)
+        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
+            (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = power
+        return (
+            s0 + (a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 + a4),
+            s1 + (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4),
+            s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4),
+            s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4),
         )
 
     def _power(self, n):
@@ -289,7 +297,10 @@ def certify(a, state_map, star, halfspaces, n_max):
             return None
         grow = (a0 + a1) * n_max * eps
         rows.append((a0 + grow, a1 + grow, slack))
+    # tuple() over lists, not generators: CPython sizes a tuple built from a
+    # generator by a guess and shrinks it, so each one freed would park one
+    # more tuple on the free list of its size.
     return Jump(
-        poles, basis, inverse, tuple(s + x for s, x in zip(star, u_f)), tuple(halfspaces),
-        tuple(rows), tuple(star), tuple(tuple(row) for row in state_map),
+        poles, basis, inverse, tuple([s + x for s, x in zip(star, u_f)]), tuple(halfspaces),
+        tuple(rows), tuple(star), tuple([tuple(row) for row in state_map]),
     )

@@ -21,6 +21,11 @@ from .model import ConverterParams, PlantState, equilibrium, is_finite_real
 # continuous conduction rather than integration noise.
 CCM_TOL = 1e-9
 
+# Fewest steps worth a jump: its check and its one map cost about as much as
+# three steps, so a shorter stretch is stepped, and a run recording more
+# often than this builds no jump certificate.
+MIN_JUMP = 4
+
 # Most integration steps, ceil(t_end/dt), a scenario may ask for: at about
 # two microseconds per step that is minutes of work, not days.
 MAX_STEPS = 10**8
@@ -286,12 +291,13 @@ def _compile(scenario: Scenario):
     bit for bit.
 
     n all-interior steps with d2 unclamped are the interior map's n-th
-    power. When record_every > 1, step_at certifies that region for the
-    load (parbuck.modal, imported on first use): jump(n, ...) returns the
-    state after n steps, that power applied once, if the certificate proves
-    every one of the n steps stays interior, d2 unclamped and both currents
-    at or above -CCM_TOL, and None otherwise. jump is None when the interior
-    poles are not two complex pairs or the map is not a certified
+    power. When record_every >= MIN_JUMP, step_at certifies that region for
+    the load (parbuck.modal, imported on first use): jump(n, ...) returns
+    the state after n steps, that power applied once, if the certificate
+    proves that every one of the n steps stays interior, leaves d2
+    unclamped and keeps both currents at or above -CCM_TOL, and None
+    otherwise. jump is None when record_every < MIN_JUMP, when the interior
+    poles are not two complex pairs and when the map is not a certified
     contraction in their modal basis.
 
     Non-finiteness is checked once per step, on the new state. d2 is checked
@@ -393,7 +399,7 @@ def _compile(scenario: Scenario):
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
             (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
         jump = None
-        if every > 1:
+        if every >= MIN_JUMP:
             from .modal import certify
 
             # A step stays on interior_map while h·u + c <= bound holds for
@@ -488,8 +494,9 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
     the run leaves it. At the segment's start and after each record, the run
     tries to jump to the next record step or to the segment's last full
     step, whichever comes first; where the jump's certificate fails, it
-    steps to the next record step and tries again. Remainder steps are
-    always stepped, and with record_every = 1 no jump is tried.
+    steps to the next record step and tries again. Remainder steps and
+    stretches shorter than MIN_JUMP steps are always stepped, so a run that
+    records more often than every MIN_JUMP steps takes no jump.
     """
     plan = _segments(scenario)
     first = next(plan)
@@ -517,7 +524,7 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
                 # Up to the next record step, but never past the last full step.
                 to_record = every - steps % every
                 n = min(to_record, n_full - i)
-                got = jump(n, iL1, iL2, Vo, d2) if n > 1 else None
+                got = jump(n, iL1, iL2, Vo, d2) if n >= MIN_JUMP else None
                 if got is not None:
                     iL1, iL2, Vo, d2 = got
                     sat2 = False

@@ -38,7 +38,7 @@ from parbuck import (
     run,
     simulate,
 )
-from parbuck.sim import CCM_TOL, _compile, _integrate, step_count
+from parbuck.sim import CCM_TOL, MIN_JUMP, _compile, _integrate, step_count
 
 import identities
 import numerics
@@ -394,11 +394,15 @@ def _count_steps(scenario):
 
 def test_bundled_load_step_jumps_almost_every_step(step_scenario):
     """On the bundled load step, accepted jumps cover at least 99% of the
-    steps; with a record at every step, none is jumped."""
+    steps; a run recording more often than every MIN_JUMP steps builds no
+    jump, and with a record at every step none is taken."""
     records, stepped = _count_steps(step_scenario)
     total = step_count(step_scenario)
     print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
     assert records == 2002 and total - stepped >= 0.99 * total
+    for every in range(1, MIN_JUMP + 1):
+        jump = _compile(replace(step_scenario, record_every=every))(10.0)[2]
+        assert (jump is None) == (every < MIN_JUMP)
     dense = replace(step_scenario, t_end=0.001, record_every=1)
     assert _count_steps(dense)[1] == step_count(dense)
 
@@ -474,33 +478,37 @@ def test_dense_load_step_trace_matches_bench_reference(step_scenario):
 def test_drained_run_memory_does_not_grow_with_the_schedule(step_scenario):
     """Draining simulate() builds each load segment's kernel when the run
     enters the segment and drops it when the run leaves, so a 200-event
-    schedule peaks within 1.5x of a 20-event one over the same steps.
+    schedule peaks within 1.5x of a 20-event one over the same steps. That
+    holds over 0.01 s, whose 50-step segments are stepped, and over 0.02 s,
+    whose 100-step segments each build a jump certificate and jump.
 
     A full collection before each measurement empties CPython's free lists,
     so objects parked there by earlier work are not counted.
     """
-    def train(n_events: int, t_end: float = 0.01) -> Scenario:
+    def train(n_events: int, t_end: float) -> Scenario:
         spacing = t_end / (n_events + 1)
         events = tuple(
             LoadStep((i + 0.37) * spacing, (10.0, 15.0)[i % 2]) for i in range(1, n_events + 1)
         )
         return replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=t_end)
 
-    short, long = train(20), train(200)
-    collections.deque(simulate(long), maxlen=0)  # warm-up
-    peaks = []
-    tracemalloc.start()
-    try:
-        for scn in (short, long):
-            gc.collect()
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            collections.deque(simulate(scn), maxlen=0)
-            peaks.append(tracemalloc.get_traced_memory()[1] - before)
-    finally:
-        tracemalloc.stop()
-    print(f"\n  peak {peaks[0] / 1024:.1f} KiB (20 events), {peaks[1] / 1024:.1f} KiB (200 events)")
-    assert peaks[1] <= 1.5 * peaks[0]
+    for t_end in (0.01, 0.02):
+        short, long = train(20, t_end), train(200, t_end)
+        collections.deque(simulate(long), maxlen=0)  # warm-up
+        peaks = []
+        tracemalloc.start()
+        try:
+            for scn in (short, long):
+                gc.collect()
+                tracemalloc.reset_peak()
+                before = tracemalloc.get_traced_memory()[0]
+                collections.deque(simulate(scn), maxlen=0)
+                peaks.append(tracemalloc.get_traced_memory()[1] - before)
+        finally:
+            tracemalloc.stop()
+        print(f"\n  {t_end} s: peak {peaks[0] / 1024:.1f} KiB (20 events), "
+              f"{peaks[1] / 1024:.1f} KiB (200 events)")
+        assert peaks[1] <= 1.5 * peaks[0]
 
 
 def test_drained_run_leaves_no_reference_cycles(step_scenario):
