@@ -400,6 +400,8 @@ def _compile(scenario: Scenario):
             (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
         jump = None
         if every >= MIN_JUMP:
+            # Imported here so that `import parbuck`, and a run that records
+            # too often to jump, do not compile it.
             from .modal import certify
 
             # A step stays on interior_map while h·u + c <= bound holds for

@@ -8,8 +8,8 @@ import math
 import random
 import re
 import tracemalloc
-from itertools import islice
 from dataclasses import fields, replace
+from itertools import islice
 from pathlib import Path
 
 import pytest
@@ -249,7 +249,7 @@ def test_jump_equals_repeated_steps(step_scenario):
     """jump(n) equals n calls of step to 1e-10 of each component's size,
     from certified states near each setup's fixed point."""
     rng = random.Random(2718)
-    setups = worst = 0.0
+    setups, worst = 0, 0.0
     for scn, step, jump in _certified_setups(step_scenario):
         setups += 1
         scale = (scn.p1.Imax, scn.p2.Imax, scn.Vref, 1.0)
@@ -268,7 +268,7 @@ def test_jump_equals_repeated_steps(step_scenario):
                 for got, want, size in zip(jumped, stepped, scale):
                     worst = max(worst, abs(got - want) / size)
                     assert abs(got - want) <= 1e-10 * size
-    print(f"\n  {setups:.0f} certified setups; worst error {worst:.2e} of the component scale")
+    print(f"\n  {setups} certified setups; worst error {worst:.2e} of the component scale")
     assert setups >= 40
 
 
