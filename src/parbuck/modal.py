@@ -28,7 +28,12 @@ at most n_max steps. Each slack is shrunk by MARGIN·(|bound| + |c|), far
 above the rounding of the basis (V·W must equal I to 1e-12, or no
 certificate is built), of the skipped float steps and of the check.
 
-Everything here is pure Python on 4x4 matrices (lists of rows).
+Everything here is pure Python on 4x4 matrices (lists of rows). A run
+builds one certificate each time it enters a load segment, so products and
+eliminations are written out entry by entry, with no call per entry and
+plain loops for the pivot searches. Each sum keeps the order of the textbook
+loop and each pivot search its tie-breaking, so the certificate does not
+depend on how the arithmetic is written.
 """
 
 from __future__ import annotations
@@ -39,16 +44,22 @@ import math
 # Relative shrink of every half-space's slack.
 MARGIN = 1e-9
 
-
-def _dot(x, y):
-    x0, x1, x2, x3 = x
-    y0, y1, y2, y3 = y
-    return x0 * y0 + x1 * y1 + x2 * y2 + x3 * y3
+_IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 
 
 def _matmul(a, b):
-    cols = list(zip(*b))
-    return [[_dot(row, col) for col in cols] for row in a]
+    (b00, b01, b02, b03), (b10, b11, b12, b13), \
+        (b20, b21, b22, b23), (b30, b31, b32, b33) = b
+    # A loop, not a comprehension: see _compose.
+    rows = []
+    for x0, x1, x2, x3 in a:
+        rows.append([
+            x0 * b00 + x1 * b10 + x2 * b20 + x3 * b30,
+            x0 * b01 + x1 * b11 + x2 * b21 + x3 * b31,
+            x0 * b02 + x1 * b12 + x2 * b22 + x3 * b32,
+            x0 * b03 + x1 * b13 + x2 * b23 + x3 * b33,
+        ])
+    return rows
 
 
 def _char_poly(a):
@@ -72,6 +83,10 @@ def _quadratic_roots(a, b, c):
     return (-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)
 
 
+# For each of four roots, the indices of the other three.
+_OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
+
+
 def _roots(coeffs):
     """The four complex roots of the monic quartic, or None if the
     Durand-Kerner iteration does not settle.
@@ -89,16 +104,18 @@ def _roots(coeffs):
     ]
     for _ in range(100):
         worst = 0.0
-        for i, z in enumerate(zs):
-            d = 1.0
-            for j, w in enumerate(zs):
-                if j != i:
-                    d *= z - w
+        for i, (j, k, m) in enumerate(_OTHERS):
+            z = zs[i]
+            # From 1.0, as a running product: 1.0 * w can differ from w in
+            # the sign of a zero part.
+            d = 1.0 * (z - zs[j]) * (z - zs[k]) * (z - zs[m])
             if d == 0.0:
                 return None
             dz = ((((z + c1) * z + c2) * z + c3) * z + c4) / d
-            zs[i] = z - dz
-            worst = max(worst, abs(dz) / abs(zs[i]) if zs[i] else math.inf)
+            z = zs[i] = z - dz
+            step = abs(dz) / abs(z) if z else math.inf
+            if step > worst:
+                worst = step
         if worst <= 1e-14:
             return zs
     return None
@@ -110,17 +127,26 @@ def _null_vector(a):
     a = [list(row) for row in a]
     order = [0, 1, 2, 3]
     for k in range(3):
-        size, i, j = max((abs(a[i][j]), i, j) for i in range(k, 4) for j in range(k, 4))
+        # The largest (abs, row, column): a tie goes to the later entry.
+        size, i, j = abs(a[k][k]), k, k
+        for r in range(k, 4):
+            row = a[r]
+            for c in range(k, 4):
+                x = abs(row[c])
+                if x >= size:
+                    size, i, j = x, r, c
         if size == 0.0:
             return None
         a[k], a[i] = a[i], a[k]
         for row in a:
             row[k], row[j] = row[j], row[k]
         order[k], order[j] = order[j], order[k]
-        pivot = a[k]
-        for row in a[k + 1:]:
+        y0, y1, y2, y3 = pivot = a[k]
+        # Whole rows: the columns before k are never read again.
+        for r in range(k + 1, 4):
+            x0, x1, x2, x3 = row = a[r]
             f = row[k] / pivot[k]
-            row[k:] = [x - f * y for x, y in zip(row[k:], pivot[k:])]
+            a[r] = [x0 - f * y0, x1 - f * y1, x2 - f * y2, x3 - f * y3]
     x = [0j, 0j, 0j, 1.0 + 0j]
     for k in (2, 1, 0):
         x[k] = -sum(a[k][j] * x[j] for j in range(k + 1, 4)) / a[k][k]
@@ -131,22 +157,29 @@ def _null_vector(a):
 
 
 def _solve(a, b):
-    """x with a·x = b, for a square and b a list of rows of right-hand
-    sides, by Gauss-Jordan elimination with partial pivoting; None if a is
-    singular."""
-    n = len(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for k in range(n):
-        p = max(range(k, n), key=lambda i: abs(rows[i][k]))
+    """x with a·x = b, for 4x4 matrices a and b, by Gauss-Jordan elimination
+    with partial pivoting; None if a is singular."""
+    rows = [[*ra, *rb] for ra, rb in zip(a, b)]
+    for k in range(4):
+        # The first row of largest abs in column k.
+        p, size = k, abs(rows[k][k])
+        for i in range(k + 1, 4):
+            x = abs(rows[i][k])
+            if x > size:
+                p, size = i, x
         if rows[p][k] == 0.0:
             return None
         rows[k], rows[p] = rows[p], rows[k]
-        pivot = rows[k]
-        for i in range(n):
+        y0, y1, y2, y3, y4, y5, y6, y7 = pivot = rows[k]
+        for i in range(4):
             if i != k:
-                f = rows[i][k] / pivot[k]
-                rows[i] = [x - f * y for x, y in zip(rows[i], pivot)]
-    return [[x / row[i] for x in row[n:]] for i, row in enumerate(rows)]
+                x0, x1, x2, x3, x4, x5, x6, x7 = row = rows[i]
+                f = row[k] / pivot[k]
+                rows[i] = [
+                    x0 - f * y0, x1 - f * y1, x2 - f * y2, x3 - f * y3,
+                    x4 - f * y4, x5 - f * y5, x6 - f * y6, x7 - f * y7,
+                ]
+    return [[x / row[i] for x in row[4:]] for i, row in enumerate(rows)]
 
 
 def _norm2(a, b, c, d):
@@ -192,12 +225,11 @@ def modal_basis(a):
         scale = math.sqrt(sum(abs(x) ** 2 for x in v))
         cols += [[x.real / scale for x in v], [x.imag / scale for x in v]]
     basis = [list(row) for row in zip(*cols)]
-    identity = [[float(i == j) for j in range(4)] for i in range(4)]
-    inverse = _solve(basis, identity)
+    inverse = _solve(basis, _IDENTITY)
     # The certificate's margin covers u - u_f = V·z only to this residual.
     if inverse is None or any(
         not abs(x - e) <= 1e-12
-        for row, unit in zip(_matmul(basis, inverse), identity)
+        for row, unit in zip(_matmul(basis, inverse), _IDENTITY)
         for x, e in zip(row, unit)
     ):
         return None
@@ -281,18 +313,27 @@ def certify(a, state_map, star, halfspaces, n_max):
     eps = max(_norm2(b[0][2], b[0][3], b[1][2], b[1][3]), _norm2(b[2][0], b[2][1], b[3][0], b[3][1]))
     if not rho + eps <= 1.0:
         return None
+    # The fixed point is the first column; the zero columns beside it do
+    # not touch its arithmetic.
     shift = _solve(
-        [[float(i == j) - x for j, x in enumerate(row)] for i, row in enumerate(m)],
-        [[row[4]] for row in state_map],
+        [[e - x for e, x in zip(unit, row)] for unit, row in zip(_IDENTITY, m)],
+        [[row[4], 0.0, 0.0, 0.0] for row in state_map],
     )
     if shift is None:
         return None
-    u_f = [x for (x,) in shift]
+    u_f = f0, f1, f2, f3 = [row[0] for row in shift]
+    # The columns of V, read off once.
+    (p0, p1, p2, p3), (q0, q1, q2, q3), (r0, r1, r2, r3), (t0, t1, t2, t3) = zip(*basis)
     rows = []
     for h, c, bound in halfspaces:
-        hv = [_dot(h, col) for col in zip(*basis)]
-        a0, a1 = math.hypot(hv[0], hv[1]), math.hypot(hv[2], hv[3])
-        slack = bound - c - _dot(h, u_f) - MARGIN * (abs(bound) + abs(c))
+        h0, h1, h2, h3 = h
+        a0 = math.hypot(
+            h0 * p0 + h1 * p1 + h2 * p2 + h3 * p3, h0 * q0 + h1 * q1 + h2 * q2 + h3 * q3
+        )
+        a1 = math.hypot(
+            h0 * r0 + h1 * r1 + h2 * r2 + h3 * r3, h0 * t0 + h1 * t1 + h2 * t2 + h3 * t3
+        )
+        slack = bound - c - (h0 * f0 + h1 * f1 + h2 * f2 + h3 * f3) - MARGIN * (abs(bound) + abs(c))
         if not slack > 0.0:
             return None
         grow = (a0 + a1) * n_max * eps

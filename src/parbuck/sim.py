@@ -26,6 +26,12 @@ CCM_TOL = 1e-9
 # often than this builds no jump certificate.
 MIN_JUMP = 4
 
+# Most steps stepped after a failed jump check before the next check: a
+# check costs about two steps, so a stretch that never settles pays about 3%
+# for its checks, however sparse the records. Not below the shipped record
+# cadence of 50, so runs at that cadence check only at their records.
+RECHECK_AFTER = 64
+
 # Most integration steps, ceil(t_end/dt), a scenario may ask for: at about
 # two microseconds per step that is minutes of work, not days.
 MAX_STEPS = 10**8
@@ -241,9 +247,16 @@ class _Affine:
     def of(self, forms):
         """This form with u replaced by four forms that are affine in u."""
         c0, c1, c2, c3, c4 = self.c
-        f0, f1, f2, f3 = (f.c for f in forms)
-        *linear, const = [c0 * a + c1 * b + c2 * c + c3 * d for a, b, c, d in zip(f0, f1, f2, f3)]
-        return _Affine((*linear, const + c4))
+        f, g, p, q = forms
+        (f0, f1, f2, f3, f4), (g0, g1, g2, g3, g4), \
+            (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = f.c, g.c, p.c, q.c
+        return _Affine((
+            c0 * f0 + c1 * g0 + c2 * p0 + c3 * q0,
+            c0 * f1 + c1 * g1 + c2 * p1 + c3 * q1,
+            c0 * f2 + c1 * g2 + c2 * p2 + c3 * q2,
+            c0 * f3 + c1 * g3 + c2 * p3 + c3 * q3,
+            c0 * f4 + c1 * g4 + c2 * p4 + c3 * q4 + c4,
+        ))
 
     def at(self, u0, u1, u2, u3):
         c0, c1, c2, c3, c4 = self.c
@@ -277,18 +290,19 @@ def _compile(scenario: Scenario):
     At a fixed load, with d1 either interior or clamped at one of its
     bounds, the closed loop is affine in the state, so a classical RK4 step
     is exactly an affine map, chosen by the d1 regime at each of its four
-    stages. step_at runs the chain, sharing_law once per regime, with
-    plant_derivatives' slopes over affine forms about
-    x* = equilibrium(p1, p2, R, Vref), and composes four stages into the
-    raw-d1 guard of each stage and a 4x5 state map in u = x - x*. A step
-    whose four guards of the all-interior map at h = dt lie inside the duty
-    bounds applies that map; any other step resolves the regimes stage by
-    stage, building each map it meets once per (h, regime sequence). About
-    x* the constant terms come only from the field's rounding residual at
-    x*, so a step from the analytic fixed point leaves it in place (bit for
-    bit on the bundled scenarios, for dt up to 1e-3). The result equals the
-    scalar RK4 of controller_step and plant_derivatives to rounding, not
-    bit for bit.
+    stages. step_at runs the chain with plant_derivatives' slopes over
+    affine forms about x* = equilibrium(p1, p2, R, Vref), building a d1
+    regime's field when a stage first meets it, and composes four interior
+    stages of length dt into each stage's raw-d1 guard and a 4x5 state map
+    in u = x - x*. A full step whose four guards lie inside the duty bounds
+    applies that map; any other full step resolves the regimes stage by
+    stage, composing each regime sequence's map once. A shortened step (one
+    per load event off the dt grid) runs its stages on the fields directly.
+    About x* the constant terms come only from the field's rounding residual
+    at x*, so a step from the analytic fixed point leaves it in place (bit
+    for bit on the bundled scenarios, for dt up to 1e-3). Steps equal the
+    scalar RK4 of controller_step and plant_derivatives to rounding, not bit
+    for bit.
 
     n all-interior steps with d2 unclamped are the interior map's n-th
     power. When record_every >= MIN_JUMP, step_at certifies that region for
@@ -342,58 +356,81 @@ def _compile(scenario: Scenario):
         s0, s1, s2, s3 = star.iL1, star.iL2, star.Vo, star.d2
         x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, (s0, s1, s2, s3))]
         raw_d1 = voltage_law(R, *x)[0]
-        # plant_derivatives in each d1 regime, low first.
+        # plant_derivatives in each d1 regime, low first, built on first use.
         diL2 = (d2 * Vin2 - Vo) / L2
         dVo = (iL1 + iL2 - Vo / R) / Ctot
-        fields = [
-            ((d1 * Vin1 - Vo) / L1, diL2, dVo, sharing_law(R, *x, d1)[0])
-            for d1 in (duty_min, raw_d1, duty_max)
-        ]
-        stages = {}  # (h, regimes so far) -> (next stage's input, slopes, guard)
-        maps = {}  # (h, regimes of all four stages) -> state map
+        fields = [None, None, None]
 
-        def stage(h, regimes):
+        def field(regime):
+            if fields[regime] is None:
+                d1 = (duty_min, raw_d1, duty_max)[regime]
+                fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, sharing_law(R, *x, d1)[0])
+            return fields[regime]
+
+        stages = {}  # regimes so far -> (next stage's input, slopes, guard)
+        maps = {}  # regimes of all four stages -> state map
+
+        def stage(regimes):
             # Callers go through the prefixes of a sequence in order, so the
             # stage before this one is always built.
-            got = stages.get((h, regimes))
+            got = stages.get(regimes)
             if got is None:
                 if regimes:
-                    inputs, slopes, _ = stages[(h, regimes[:-1])]
-                    k = [row.of(inputs) for row in fields[regimes[-1]]]
-                    c = 0.5 * h if len(regimes) < 3 else h
+                    inputs, slopes, _ = stages[regimes[:-1]]
+                    k = [row.of(inputs) for row in field(regimes[-1])]
+                    c = 0.5 * dt if len(regimes) < 3 else dt
                     inputs, slopes = [u + c * ki for u, ki in zip(_DEVIATION, k)], slopes + (k,)
                 else:
                     inputs, slopes = _DEVIATION, ()
-                got = stages[(h, regimes)] = (inputs, slopes, raw_d1.of(inputs))
+                got = stages[regimes] = (inputs, slopes, raw_d1.of(inputs))
             return got
 
-        def state_map(h, regimes):
-            got = maps.get((h, regimes))
+        def state_map(regimes):
+            got = maps.get(regimes)
             if got is None:
-                inputs, slopes, _ = stage(h, regimes[:3])
-                slopes += ([row.of(inputs) for row in fields[regimes[3]]],)
-                sixth = h / 6.0
+                inputs, slopes, _ = stage(regimes[:3])
+                slopes += ([row.of(inputs) for row in field(regimes[3])],)
+                sixth = dt / 6.0
                 # A list, not tuple() over a generator: CPython allocates
                 # that tuple oversized and shrinks it, so each one freed
                 # leaves one more parked on the 4-tuple free list (up to
                 # 2000), and a long schedule's memory would grow with it.
-                got = maps[(h, regimes)] = [
+                got = maps[regimes] = [
                     u + sixth * (a + 2.0 * (b + c) + d)
                     for u, a, b, c, d in zip(_DEVIATION, *slopes)
                 ]
             return got
 
-        def resolve(h, u0, u1, u2, u3):
+        def resolve(u0, u1, u2, u3):
             """The state map for the d1 regimes that u meets at each stage."""
             regimes = ()
             for _ in range(4):
-                d1 = stage(h, regimes)[2].at(u0, u1, u2, u3)
+                d1 = stage(regimes)[2].at(u0, u1, u2, u3)
                 regimes += (_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR,)
-            return state_map(h, regimes)
+            return state_map(regimes)
+
+        def slope(v):
+            """The closed loop's field at deviation v, in the d1 regime there."""
+            d1 = raw_d1.at(*v)
+            rows = field(_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR)
+            return [row.at(*v) for row in rows]
+
+        def shortened(h, u):
+            """The state after one RK4 step of length h != dt from deviation
+            u, its four stages run on the fields directly."""
+            k1 = slope(u)
+            k2 = slope([x + 0.5 * h * k for x, k in zip(u, k1)])
+            k3 = slope([x + 0.5 * h * k for x, k in zip(u, k2)])
+            k4 = slope([x + h * k for x, k in zip(u, k3)])
+            sixth = h / 6.0
+            return [
+                s + (x + sixth * (a + 2.0 * (b + c) + d))
+                for s, x, a, b, c, d in zip((s0, s1, s2, s3), u, k1, k2, k3, k4)
+            ]
 
         interior = (_INTERIOR,) * 4
-        guards = [stage(dt, interior[:n])[2].c for n in range(4)]
-        interior_map = [form.c for form in state_map(dt, interior)]
+        guards = [stage(interior[:n])[2].c for n in range(4)]
+        interior_map = [form.c for form in state_map(interior)]
         (g10, g11, g12, g13, g14), (g20, g21, g22, g23, g24), \
             (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = guards
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
@@ -418,7 +455,7 @@ def _compile(scenario: Scenario):
                 ((0.0, 0.0, 0.0, -1.0), -s3, 0.0),
             ]
             jump = certify(
-                [row.c[:4] for row in fields[_INTERIOR]],
+                [row.c[:4] for row in field(_INTERIOR)],
                 interior_map, (s0, s1, s2, s3), halfspaces, every,
             )
 
@@ -438,8 +475,10 @@ def _compile(scenario: Scenario):
                 iL2 = s1 + (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4)
                 Vo = s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4)
                 d2 = s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4)
+            elif h != dt:
+                iL1, iL2, Vo, d2 = shortened(h, (u0, u1, u2, u3))
             else:
-                m0, m1, m2, m3 = resolve(h, u0, u1, u2, u3)
+                m0, m1, m2, m3 = resolve(u0, u1, u2, u3)
                 iL1 = s0 + m0.at(u0, u1, u2, u3)
                 iL2 = s1 + m1.at(u0, u1, u2, u3)
                 Vo = s2 + m2.at(u0, u1, u2, u3)
@@ -496,9 +535,10 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
     the run leaves it. At the segment's start and after each record, the run
     tries to jump to the next record step or to the segment's last full
     step, whichever comes first; where the jump's certificate fails, it
-    steps to the next record step and tries again. Remainder steps and
-    stretches shorter than MIN_JUMP steps are always stepped, so a run that
-    records more often than every MIN_JUMP steps takes no jump.
+    steps to the next record step, or RECHECK_AFTER steps if that comes
+    first, and tries again. Remainder steps and stretches shorter than
+    MIN_JUMP steps are always stepped, so a run that records more often
+    than every MIN_JUMP steps takes no jump.
     """
     plan = _segments(scenario)
     first = next(plan)
@@ -536,7 +576,7 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
                     if steps % every == 0 and t_next != seg_end:
                         yield record(t_next, iL1, iL2, Vo, d2, sat2)
                     continue
-                stop = min(i + to_record, n_sub)
+                stop = min(i + min(to_record, RECHECK_AFTER), n_sub)
             for i in range(i + 1, stop + 1):
                 h = dt if i <= n_full else remainder
                 t_next = seg_end if i == n_sub else seg_start + i * dt

@@ -38,7 +38,9 @@ from parbuck import (
     run,
     simulate,
 )
-from parbuck.sim import CCM_TOL, MIN_JUMP, _compile, _integrate, step_count
+from parbuck.sim import (
+    CCM_TOL, MIN_JUMP, RECHECK_AFTER, _compile, _integrate, _segments, step_count,
+)
 
 import identities
 import numerics
@@ -73,9 +75,10 @@ def test_order_four_at_simulation_step_sizes():
         assert 3.7 <= p <= 4.3
 
 
-def _oracle_step(scn: Scenario, state: PlantState) -> tuple:
-    """rk4_update over plant_derivatives after controller_step, unclamped,
-    and the controller's signals at each of the four stages."""
+def _oracle_step(scn: Scenario, state: PlantState, h: float | None = None) -> tuple:
+    """rk4_update over plant_derivatives after controller_step, one step of
+    length h (default dt), unclamped, and the controller's signals at each
+    of the four stages."""
     R = scn.load_schedule[0].R
     signals = []
 
@@ -85,7 +88,8 @@ def _oracle_step(scn: Scenario, state: PlantState) -> tuple:
         signals.append(cmd)
         return tuple(plant_derivatives(s, scn.p1, scn.p2, R, cmd.d1, cmd.d2_dot))
 
-    y = numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), scn.dt)
+    h = scn.dt if h is None else h
+    y = numerics.rk4_update(f, (state.iL1, state.iL2, state.Vo, state.d2), h)
     return y, signals
 
 
@@ -115,31 +119,31 @@ def _kernel_cases():
             yield scn, identities.exposed_sample(exposed_rng, p1, p2, gains, R, vref)
 
 
-def _kernel_step(scn: Scenario, state: PlantState, dt: float) -> tuple:
-    """One step of length dt from t=0 through the compiled kernel that
+def _kernel_step(scn: Scenario, state: PlantState, h: float) -> tuple:
+    """One step of length h from t=0 through the compiled kernel that
     simulate() runs, at the scenario's first load: (iL1, iL2, Vo, d2, sat2)."""
     step = _compile(scn)(scn.load_schedule[0].R)[0]
-    return step(dt, dt, state.iL1, state.iL2, state.Vo, state.d2)
+    return step(h, h, state.iL1, state.iL2, state.Vo, state.d2)
 
 
-def test_kernel_step_equals_generic_kernel():
-    """The compiled step reproduces the readable oracle to 1e-10 of each
-    component's size, on every path through the d1 clamp regimes.
+def _assert_kernel_step_matches_oracle(fraction: float) -> None:
+    """Steps of fraction·dt from each of _kernel_cases() match the readable
+    oracle to 1e-10 of each component's size, with sat2 exact, and at least
+    20 cases take each path through the d1 clamp regimes.
 
-    The kernel applies the exact affine RK4 map of the piecewise-affine
-    closed loop, so it differs from the oracle by rounding only. The
-    oracle's d2 is clamped to [0, 1] before the comparison, and sat2 must
-    say exactly whether that changed it. Cases are classified by the
+    The oracle's d2 is clamped to [0, 1] before the comparison, and sat2
+    must say exactly whether that changed it. Cases are classified by the
     oracle's d1 clamps at the four stages.
     """
     n = d1_saturated = d2_clamped = 0
     paths = {"interior": 0, "clamped": 0, "mixed": 0}
     worst = 0.0
     for scn, state in _kernel_cases():
-        (*currents_and_vo, d2), signals = _oracle_step(scn, state)
+        h = fraction * scn.dt
+        (*currents_and_vo, d2), signals = _oracle_step(scn, state, h)
         stage_clamps = [sig.saturated for sig in signals]
         clamped = min(max(d2, 0.0), 1.0)
-        *stepped, sat2 = _kernel_step(scn, state, scn.dt)
+        *stepped, sat2 = _kernel_step(scn, state, h)
         want = (*currents_and_vo, clamped)
         for got, w, x in zip(stepped, want, (state.iL1, state.iL2, state.Vo, state.d2)):
             size = max(abs(w), abs(x))
@@ -152,10 +156,28 @@ def test_kernel_step_equals_generic_kernel():
         n += 1
         d1_saturated += controller_step(state, scn.Vref, R, scn.p1, scn.p2, scn.gains).saturated
         d2_clamped += sat2
-    print(f"\n  d1 saturated on {d1_saturated}/{n} states, d2 clamped on {d2_clamped}/{n}; "
-          f"stage regimes {paths}; worst relative error {worst:.2e}")
+    print(f"\n  h = {fraction}·dt: d1 saturated on {d1_saturated}/{n} states, "
+          f"d2 clamped on {d2_clamped}/{n}; stage regimes {paths}; "
+          f"worst relative error {worst:.2e}")
     assert 20 <= d1_saturated <= n - 20 and d2_clamped >= 20
     assert min(paths.values()) >= 20
+
+
+def test_kernel_step_equals_generic_kernel():
+    """The compiled step reproduces the readable oracle to 1e-10 of each
+    component's size, on every path through the d1 clamp regimes.
+
+    The kernel applies the exact affine RK4 map of the piecewise-affine
+    closed loop, so it differs from the oracle by rounding only.
+    """
+    _assert_kernel_step_matches_oracle(1.0)
+
+
+def test_kernel_shortened_step_equals_generic_kernel():
+    """A step shorter than dt, as at a load event off the dt grid, matches
+    the readable oracle as a full step does, on every clamp path: the
+    kernel runs its four stages on the closed loop's fields directly."""
+    _assert_kernel_step_matches_oracle(0.37)
 
 
 def test_compiled_record_equals_controller_step():
@@ -407,6 +429,31 @@ def test_bundled_load_step_jumps_almost_every_step(step_scenario):
     assert _count_steps(dense)[1] == step_count(dense)
 
 
+def test_sparse_records_keep_their_jumps(step_scenario, step_trace):
+    """After a failed jump check the run checks again within RECHECK_AFTER
+    steps, not only at the next record: with one record per 10**6 steps the
+    bundled load step still jumps at least 99% of its steps, and its four
+    records (start, both sides of the event, end) match the rows of the
+    shipped cadence at the same times to 1e-10 of each column's peak. The
+    shipped cadence of 50 is within RECHECK_AFTER, so it checks only at its
+    records."""
+    assert RECHECK_AFTER >= step_scenario.record_every
+    sparse = replace(step_scenario, record_every=10**6)
+    records, stepped = _count_steps(sparse)
+    total = step_count(sparse)
+    print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
+    assert records == 4 and total - stepped >= 0.99 * total
+    peaks = [max(abs(float(x)) for x in column) or 1.0 for column in zip(*step_trace)]
+    by_time = collections.defaultdict(list)
+    for rec in step_trace:
+        by_time[rec.t].append(rec)
+    trace = run(sparse)
+    assert [r.t for r in trace] == [0.0, 0.05, 0.05, step_scenario.t_end]
+    for rec, want in zip(trace, [by_time[0.0][0], *by_time[0.05], by_time[step_scenario.t_end][-1]]):
+        for name, got, w, peak in zip(TraceRecord._fields, rec, want, peaks):
+            assert abs(got - w) <= 1e-10 * peak, f"t={rec.t} {name}"
+
+
 def test_closed_loop_richardson_fourth_order(constant_scenario):
     """Halving dt shrinks the final-state change ~16x on a smooth trajectory.
 
@@ -442,6 +489,12 @@ LOAD_STEP_SHA256 = "4d525838c44304ffa0742f29444e36fa978ec0233e6150ff224bf70703a4
 DENSE_TRACE_SHA256 = "25510fd15172e685122623edda80d57e1a87bbac31fc2fd0279a63b508acfa17"
 
 
+# sha256 of repr((poles, basis, inverse, fixed, rows)) of the bundled pair's
+# jump certificates at its two loads, so that a changed certificate shows
+# even where it accepts the same jumps.
+JUMP_CERTIFICATES_SHA256 = "9e2c1654d7e8ead8d02b178543326984d9ab43392977d0a234143c925636cb87"
+
+
 def _assert_matches_reference(trace, workload: str) -> None:
     """Every row stored with the benchmark matches the trace: times, loads
     and flags exactly, every other column to 1e-10 of its stored scale."""
@@ -473,6 +526,18 @@ def test_dense_load_step_trace_matches_bench_reference(step_scenario):
     _assert_matches_reference(trace, "dense_trace")
     csv = format_trace_csv(trace).encode("utf-8")
     assert hashlib.sha256(csv).hexdigest() == DENSE_TRACE_SHA256
+
+
+def test_bundled_jump_certificates_are_pinned(step_scenario):
+    """The jump certificates of the bundled pair at 10 and 15 ohm are
+    bit for bit the pinned ones."""
+    step_at = _compile(step_scenario)
+    certificates = []
+    for R in (10.0, 15.0):
+        jump = step_at(R)[2]
+        certificates.append((jump.poles, jump.basis, jump.inverse, jump.fixed, jump.rows))
+    digest = hashlib.sha256(repr(tuple(certificates)).encode("utf-8")).hexdigest()
+    assert digest == JUMP_CERTIFICATES_SHA256
 
 
 def test_drained_run_memory_does_not_grow_with_the_schedule(step_scenario):
@@ -577,6 +642,67 @@ def test_event_not_on_grid_shortens_the_step(step_scenario):
     assert len(at_event) == 2
     assert (at_event[0].R_active, at_event[1].R_active) == (10.0, 15.0)
     assert trace[-1].t == pytest.approx(0.0501, abs=1e-12)
+
+
+def _oracle_run(scn: Scenario) -> list:
+    """The trace of scn stepped by rk4_update over controller_step and
+    plant_derivatives, d2 clamped to [0, 1] after each step, on simulate()'s
+    segment plan and record layout."""
+    p1, p2, gains, dt, every = scn.p1, scn.p2, scn.gains, scn.dt, scn.record_every
+
+    def record(t, y, R, sat2):
+        sig = controller_step(PlantState(*y), scn.Vref, R, p1, p2, gains)
+        return TraceRecord(
+            t, y[0], y[1], y[2], sig.d1, y[3], sig.d2_dot, sig.e, sig.e2,
+            sig.lyap_v, sig.lyap_share, R, sig.saturated, sat2,
+        )
+
+    state = scn.initial_state
+    y = (state.iL1, state.iL2, state.Vo, state.d2)
+    sat2 = False
+    steps = 0
+    trace = []
+    for start, end, R, n_full, remainder in _segments(scn):
+        trace.append(record(start, y, R, sat2))
+
+        def f(x, R=R):
+            sig = controller_step(PlantState(*x), scn.Vref, R, p1, p2, gains)
+            return tuple(plant_derivatives(PlantState(*x), p1, p2, R, sig.d1, sig.d2_dot))
+
+        n_sub = n_full + (remainder > 0.0)
+        for i in range(1, n_sub + 1):
+            t = end if i == n_sub else start + i * dt
+            *y, d2 = numerics.rk4_update(f, y, dt if i <= n_full else remainder)
+            y = (*y, min(max(d2, 0.0), 1.0))
+            sat2 = y[3] != d2
+            steps += 1
+            if steps % every == 0 and t != end:
+                trace.append(record(t, y, R, sat2))
+        trace.append(record(end, y, R, sat2))
+    return trace
+
+
+def test_off_grid_load_train_matches_the_readable_oracle(step_scenario):
+    """Twenty load events off the dt grid over 2 ms, each entered with a
+    shortened step and settled stretches jumped, give the trace that plain
+    RK4 over the readable functions gives: t, R_active, sat1 and sat2
+    exactly, every other column to 1e-9 of its peak."""
+    loads = (15.0, 10.0, 12.5, 11.0)
+    events = tuple(LoadStep(i * 9.5e-5 + 3.7e-7, loads[i % 4]) for i in range(1, 21))
+    scn = replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.002)
+    assert _count_steps(scn)[1] < step_count(scn) / 2
+    trace, want = run(scn), _oracle_run(scn)
+    assert len(trace) == len(want)
+    peaks = [max(abs(float(x)) for x in column) or 1.0 for column in zip(*want)]
+    worst = 0.0
+    for rec, w in zip(trace, want):
+        for name, got, expected, peak in zip(TraceRecord._fields, rec, w, peaks):
+            if name in ("t", "R_active", "sat1", "sat2"):
+                assert got == expected, f"t={rec.t} {name}"
+            else:
+                worst = max(worst, abs(got - expected) / peak)
+                assert abs(got - expected) <= 1e-9 * peak, f"t={rec.t} {name}"
+    print(f"\n  {len(trace)} records; worst error {worst:.2e} of the column peak")
 
 
 def test_event_within_rounding_of_start_takes_no_step(step_scenario):
