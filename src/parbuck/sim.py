@@ -258,10 +258,6 @@ class _Affine:
             c0 * f4 + c1 * g4 + c2 * p4 + c3 * q4 + c4,
         ))
 
-    def at(self, u0, u1, u2, u3):
-        c0, c1, c2, c3, c4 = self.c
-        return c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4
-
 
 # The deviation u itself, one form per state component.
 _DEVIATION = tuple(
@@ -288,21 +284,20 @@ def _compile(scenario: Scenario):
     halves, so it reproduces controller_step bit for bit.
 
     At a fixed load, with d1 either interior or clamped at one of its
-    bounds, the closed loop is affine in the state, so a classical RK4 step
-    is exactly an affine map, chosen by the d1 regime at each of its four
-    stages. step_at runs the chain with plant_derivatives' slopes over
-    affine forms about x* = equilibrium(p1, p2, R, Vref), building a d1
-    regime's field when a stage first meets it, and composes four interior
+    bounds, the closed loop is affine in the state. step_at runs the chain
+    with plant_derivatives' slopes over affine forms about x* =
+    equilibrium(p1, p2, R, Vref), giving the field of each d1 regime (a
+    clamped one's when a stage first meets it), and composes four interior
     stages of length dt into each stage's raw-d1 guard and a 4x5 state map
     in u = x - x*. A full step whose four guards lie inside the duty bounds
-    applies that map; any other full step resolves the regimes stage by
-    stage, composing each regime sequence's map once. A shortened step (one
-    per load event off the dt grid) runs its stages on the fields directly.
-    About x* the constant terms come only from the field's rounding residual
-    at x*, so a step from the analytic fixed point leaves it in place (bit
-    for bit on the bundled scenarios, for dt up to 1e-3). Steps equal the
-    scalar RK4 of controller_step and plant_derivatives to rounding, not bit
-    for bit.
+    applies that map. Every other step, a full step that meets the clamp or
+    a shortened step (one per load event off the dt grid), runs its four
+    stages, each on the field of the d1 regime its input meets. About x*
+    the constant terms come only from the field's rounding residual at x*,
+    so a step from the analytic fixed point leaves it in place (bit for bit
+    on the bundled scenarios, for dt up to 1e-3). Steps equal the scalar
+    RK4 of controller_step and plant_derivatives to rounding, not bit for
+    bit.
 
     n all-interior steps with d2 unclamped are the interior map's n-th
     power. When record_every >= MIN_JUMP, step_at certifies that region for
@@ -367,74 +362,54 @@ def _compile(scenario: Scenario):
                 fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, sharing_law(R, *x, d1)[0])
             return fields[regime]
 
-        stages = {}  # regimes so far -> (next stage's input, slopes, guard)
-        maps = {}  # regimes of all four stages -> state map
-
-        def stage(regimes):
-            # Callers go through the prefixes of a sequence in order, so the
-            # stage before this one is always built.
-            got = stages.get(regimes)
-            if got is None:
-                if regimes:
-                    inputs, slopes, _ = stages[regimes[:-1]]
-                    k = [row.of(inputs) for row in field(regimes[-1])]
-                    c = 0.5 * dt if len(regimes) < 3 else dt
-                    inputs, slopes = [u + c * ki for u, ki in zip(_DEVIATION, k)], slopes + (k,)
-                else:
-                    inputs, slopes = _DEVIATION, ()
-                got = stages[regimes] = (inputs, slopes, raw_d1.of(inputs))
-            return got
-
-        def state_map(regimes):
-            got = maps.get(regimes)
-            if got is None:
-                inputs, slopes, _ = stage(regimes[:3])
-                slopes += ([row.of(inputs) for row in field(regimes[3])],)
-                sixth = dt / 6.0
-                # A list, not tuple() over a generator: CPython allocates
-                # that tuple oversized and shrinks it, so each one freed
-                # leaves one more parked on the 4-tuple free list (up to
-                # 2000), and a long schedule's memory would grow with it.
-                got = maps[regimes] = [
-                    u + sixth * (a + 2.0 * (b + c) + d)
-                    for u, a, b, c, d in zip(_DEVIATION, *slopes)
-                ]
-            return got
-
-        def resolve(u0, u1, u2, u3):
-            """The state map for the d1 regimes that u meets at each stage."""
-            regimes = ()
-            for _ in range(4):
-                d1 = stage(regimes)[2].at(u0, u1, u2, u3)
-                regimes += (_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR,)
-            return state_map(regimes)
-
-        def slope(v):
-            """The closed loop's field at deviation v, in the d1 regime there."""
-            d1 = raw_d1.at(*v)
-            rows = field(_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR)
-            return [row.at(*v) for row in rows]
-
-        def shortened(h, u):
-            """The state after one RK4 step of length h != dt from deviation
-            u, its four stages run on the fields directly."""
-            k1 = slope(u)
-            k2 = slope([x + 0.5 * h * k for x, k in zip(u, k1)])
-            k3 = slope([x + 0.5 * h * k for x, k in zip(u, k2)])
-            k4 = slope([x + h * k for x, k in zip(u, k3)])
-            sixth = h / 6.0
-            return [
-                s + (x + sixth * (a + 2.0 * (b + c) + d))
-                for s, x, a, b, c, d in zip((s0, s1, s2, s3), u, k1, k2, k3, k4)
-            ]
-
-        interior = (_INTERIOR,) * 4
-        guards = [stage(interior[:n])[2].c for n in range(4)]
-        interior_map = [form.c for form in state_map(interior)]
+        # The interior regime's four stages of length dt, composed into each
+        # stage's raw-d1 guard and the 4x5 state map in u.
+        rows = field(_INTERIOR)
+        inputs, guards, slopes = _DEVIATION, [], []
+        for c in (0.5 * dt, 0.5 * dt, dt, None):
+            guards.append(raw_d1.of(inputs).c)
+            slopes.append([row.of(inputs) for row in rows])
+            if c is not None:
+                inputs = [u + c * k for u, k in zip(_DEVIATION, slopes[-1])]
+        sixth = dt / 6.0
+        interior_map = [
+            (u + sixth * (a + 2.0 * (b + c) + d)).c for u, a, b, c, d in zip(_DEVIATION, *slopes)
+        ]
         (g10, g11, g12, g13, g14), (g20, g21, g22, g23, g24), \
             (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = guards
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
             (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
+        r0, r1, r2, r3, r4 = raw_d1.c
+
+        def slope(v0, v1, v2, v3):
+            """The closed loop's field at deviation v, in the d1 regime there."""
+            d1 = r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4
+            f, g, p, q = field(_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR)
+            (f0, f1, f2, f3, f4), (g0, g1, g2, g3, g4), \
+                (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = f.c, g.c, p.c, q.c
+            return (
+                f0 * v0 + f1 * v1 + f2 * v2 + f3 * v3 + f4,
+                g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3 + g4,
+                p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4,
+                q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3 + q4,
+            )
+
+        def staged(h, u0, u1, u2, u3):
+            """The state after one RK4 step of length h from deviation u, each
+            stage on the field of the d1 regime its input meets."""
+            half = 0.5 * h
+            k10, k11, k12, k13 = slope(u0, u1, u2, u3)
+            k20, k21, k22, k23 = slope(u0 + half * k10, u1 + half * k11, u2 + half * k12, u3 + half * k13)
+            k30, k31, k32, k33 = slope(u0 + half * k20, u1 + half * k21, u2 + half * k22, u3 + half * k23)
+            k40, k41, k42, k43 = slope(u0 + h * k30, u1 + h * k31, u2 + h * k32, u3 + h * k33)
+            sixth = h / 6.0
+            return (
+                s0 + (u0 + sixth * (k10 + 2.0 * (k20 + k30) + k40)),
+                s1 + (u1 + sixth * (k11 + 2.0 * (k21 + k31) + k41)),
+                s2 + (u2 + sixth * (k12 + 2.0 * (k22 + k32) + k42)),
+                s3 + (u3 + sixth * (k13 + 2.0 * (k23 + k33) + k43)),
+            )
+
         jump = None
         if every >= MIN_JUMP:
             # Imported here so that `import parbuck`, and a run that records
@@ -455,7 +430,7 @@ def _compile(scenario: Scenario):
                 ((0.0, 0.0, 0.0, -1.0), -s3, 0.0),
             ]
             jump = certify(
-                [row.c[:4] for row in field(_INTERIOR)],
+                [row.c[:4] for row in rows],
                 interior_map, (s0, s1, s2, s3), halfspaces, every,
             )
 
@@ -475,14 +450,8 @@ def _compile(scenario: Scenario):
                 iL2 = s1 + (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4)
                 Vo = s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4)
                 d2 = s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4)
-            elif h != dt:
-                iL1, iL2, Vo, d2 = shortened(h, (u0, u1, u2, u3))
             else:
-                m0, m1, m2, m3 = resolve(u0, u1, u2, u3)
-                iL1 = s0 + m0.at(u0, u1, u2, u3)
-                iL2 = s1 + m1.at(u0, u1, u2, u3)
-                Vo = s2 + m2.at(u0, u1, u2, u3)
-                d2 = s3 + m3.at(u0, u1, u2, u3)
+                iL1, iL2, Vo, d2 = staged(h, u0, u1, u2, u3)
             if not isfinite(d2):
                 raise DivergenceError(t_next, "d2")
             if not (isfinite(iL1) and isfinite(iL2) and isfinite(Vo)):

@@ -5,8 +5,12 @@ import gc
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 from dataclasses import fields, replace
 from itertools import islice
@@ -16,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import parbuck
 from parbuck import (
     MAX_STEPS,
     CcmViolationError,
@@ -167,8 +172,10 @@ def test_kernel_step_equals_generic_kernel():
     """The compiled step reproduces the readable oracle to 1e-10 of each
     component's size, on every path through the d1 clamp regimes.
 
-    The kernel applies the exact affine RK4 map of the piecewise-affine
-    closed loop, so it differs from the oracle by rounding only.
+    A full step whose four stages stay interior applies the interior
+    regime's composed affine RK4 map; any other full step runs its four
+    stages, each on the field of the d1 regime its input meets. Both differ
+    from the oracle by rounding only.
     """
     _assert_kernel_step_matches_oracle(1.0)
 
@@ -176,7 +183,8 @@ def test_kernel_step_equals_generic_kernel():
 def test_kernel_shortened_step_equals_generic_kernel():
     """A step shorter than dt, as at a load event off the dt grid, matches
     the readable oracle as a full step does, on every clamp path: the
-    kernel runs its four stages on the closed loop's fields directly."""
+    kernel runs it as it runs a clamped full step, stage by stage on the
+    field of the d1 regime each stage's input meets."""
     _assert_kernel_step_matches_oracle(0.37)
 
 
@@ -429,6 +437,34 @@ def test_bundled_load_step_jumps_almost_every_step(step_scenario):
     assert _count_steps(dense)[1] == step_count(dense)
 
 
+def test_modal_is_imported_only_by_a_run_that_can_jump():
+    """parbuck.modal, which builds the jump certificates, is imported on
+    first use: after `import parbuck` and a drained run that records every
+    step it is not loaded, and a drained run at the shipped cadence loads
+    it. A fresh interpreter runs both, so no other test has imported it."""
+    code = textwrap.dedent("""
+        import collections, sys
+        from dataclasses import replace
+        import parbuck
+        scn = parbuck.parse_scenario(parbuck.bundled_scenario_text("load_step"))
+        scn = replace(scn, t_end=0.001)
+        assert scn.record_every == 50
+        collections.deque(parbuck.simulate(replace(scn, record_every=1)), maxlen=0)
+        print("parbuck.modal" in sys.modules)
+        collections.deque(parbuck.simulate(scn), maxlen=0)
+        print("parbuck.modal" in sys.modules)
+    """)
+    # The child imports the package under test, installed or not.
+    src = str(Path(parbuck.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
+
+
 def test_sparse_records_keep_their_jumps(step_scenario, step_trace):
     """After a failed jump check the run checks again within RECHECK_AFTER
     steps, not only at the next record: with one record per 10**6 steps the
@@ -485,8 +521,8 @@ def test_kernel_step_divergence_names_time_and_component(constant_scenario):
 
 # sha256 of the two bundled-load-step CSVs, so that any change to the
 # kernel's arithmetic shows, however small.
-LOAD_STEP_SHA256 = "4d525838c44304ffa0742f29444e36fa978ec0233e6150ff224bf70703a498f7"
-DENSE_TRACE_SHA256 = "25510fd15172e685122623edda80d57e1a87bbac31fc2fd0279a63b508acfa17"
+LOAD_STEP_SHA256 = "e565f44892bd56e0f2c659f146515532a57dffb3d68a5e75b345d625d9ca3472"
+DENSE_TRACE_SHA256 = "3ec5a7c921cf8b525fb491df449e5256d07a8075e718842d342f32c3466a291b"
 
 
 # sha256 of repr((poles, basis, inverse, fixed, rows)) of the bundled pair's
@@ -683,13 +719,21 @@ def _oracle_run(scn: Scenario) -> list:
 
 
 def test_off_grid_load_train_matches_the_readable_oracle(step_scenario):
-    """Twenty load events off the dt grid over 2 ms, each entered with a
-    shortened step and settled stretches jumped, give the trace that plain
-    RK4 over the readable functions gives: t, R_active, sat1 and sat2
-    exactly, every other column to 1e-9 of its peak."""
+    """Twenty load events over 2 ms, each at its own offset off the dt grid
+    so that each of the 21 segments ends in a shortened step, with settled
+    stretches jumped, give the trace that plain RK4 over the readable
+    functions gives: t, R_active, sat1 and sat2 exactly, every other column
+    to 1e-9 of its peak. Each event leaves d1 clamped for a few steps, and
+    every fourth event comes 90 steps late, 4 or 5 steps before the next,
+    so both kinds of staged step, clamped full steps and shortened steps,
+    meet the clamp."""
     loads = (15.0, 10.0, 12.5, 11.0)
-    events = tuple(LoadStep(i * 9.5e-5 + 3.7e-7, loads[i % 4]) for i in range(1, 21))
+    offsets = [(0.37 * i % 1.0 + 90 * (i % 4 == 0)) * step_scenario.dt for i in range(1, 21)]
+    events = tuple(
+        LoadStep(i * 9.5e-5 + offset, loads[i % 4]) for i, offset in enumerate(offsets, 1)
+    )
     scn = replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.002)
+    assert sum(seg.remainder > 0.0 for seg in _segments(scn)) == 21
     assert _count_steps(scn)[1] < step_count(scn) / 2
     trace, want = run(scn), _oracle_run(scn)
     assert len(trace) == len(want)
