@@ -508,6 +508,13 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
     first, and tries again. Remainder steps and stretches shorter than
     MIN_JUMP steps are always stepped, so a run that records more often
     than every MIN_JUMP steps takes no jump.
+
+    A stepped full step that returns its input bit for bit has reached a
+    fixed point of the step, as a run started at equilibrium does at once:
+    the full steps after it, up to where the run would try a jump again or
+    the segment's last full step, return the same state and sat2, so they
+    are counted, not taken, and their records share the body after t of one
+    record. The trace is the one that stepping them gives, byte for byte.
     """
     plan = _segments(scenario)
     first = next(plan)
@@ -549,11 +556,30 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
             for i in range(i + 1, stop + 1):
                 h = dt if i <= n_full else remainder
                 t_next = seg_end if i == n_sub else seg_start + i * dt
+                x0, x1, x2, x3 = iL1, iL2, Vo, d2
                 iL1, iL2, Vo, d2, sat2 = step(t_next, h, iL1, iL2, Vo, d2)
                 steps += 1
                 if iL1 < ccm_floor or iL2 < ccm_floor:
                     name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
                     raise CcmViolationError(t_next, name, value)
+                if (
+                    iL1 == x0 and iL2 == x1 and Vo == x2 and d2 == x3 and i < n_full
+                    and repr((iL1, iL2, Vo, d2)) == repr((x0, x1, x2, x3))
+                ):
+                    # A full step returned its input bit for bit (== takes
+                    # -0.0 for 0.0, repr does not), and a full step reads
+                    # nothing else that changes, so every full step up to
+                    # `stop` returns the same state and sat2: count them at
+                    # once and write each record among them from one body.
+                    last = min(stop, n_full)
+                    body = record(t_next, iL1, iL2, Vo, d2, sat2)[1:]
+                    for j in range(i + (-steps) % every, last + 1, every):
+                        t_next = seg_end if j == n_sub else seg_start + j * dt
+                        if t_next != seg_end:
+                            yield TraceRecord(t_next, *body)
+                    steps += last - i
+                    i = last
+                    break
                 if steps % every == 0 and t_next != seg_end:
                     yield record(t_next, iL1, iL2, Vo, d2, sat2)
         # Segment boundary: the near side of a load event, or t_end.

@@ -425,7 +425,11 @@ def _count_steps(scenario):
 def test_bundled_load_step_jumps_almost_every_step(step_scenario):
     """On the bundled load step, accepted jumps cover at least 99% of the
     steps; a run recording more often than every MIN_JUMP steps builds no
-    jump, and with a record at every step none is taken."""
+    jump. With a record at every step, a run from equilibrium steps one
+    step of a stretch at a fixed point and counts the rest, and a run from
+    a state off it steps every step: 1 of 1,000 steps over 1 ms from
+    equilibrium, all 1,000 from Vo*0.999, and 50,001 of the bundled load
+    step's 100,000, one before its event and all 50,000 after it."""
     records, stepped = _count_steps(step_scenario)
     total = step_count(step_scenario)
     print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
@@ -434,7 +438,12 @@ def test_bundled_load_step_jumps_almost_every_step(step_scenario):
         jump = _compile(replace(step_scenario, record_every=every))(10.0)[2]
         assert (jump is None) == (every < MIN_JUMP)
     dense = replace(step_scenario, t_end=0.001, record_every=1)
-    assert _count_steps(dense)[1] == step_count(dense)
+    start = dense.initial_state
+    off = replace(dense, initial_state=replace(start, Vo=start.Vo * 0.999))
+    assert step_count(dense) == 1000
+    assert _count_steps(dense) == (1001, 1)
+    assert _count_steps(off) == (1001, 1000)
+    assert _count_steps(replace(step_scenario, record_every=1)) == (100002, 50001)
 
 
 def test_modal_is_imported_only_by_a_run_that_can_jump():
@@ -747,6 +756,80 @@ def test_off_grid_load_train_matches_the_readable_oracle(step_scenario):
                 worst = max(worst, abs(got - expected) / peak)
                 assert abs(got - expected) <= 1e-9 * peak, f"t={rec.t} {name}"
     print(f"\n  {len(trace)} records; worst error {worst:.2e} of the column peak")
+
+
+def _step_every_step(scn: Scenario) -> list:
+    """The trace of scn with the kernel's step and record called on every
+    step of simulate()'s segment plan: no jump and no stationary shortcut."""
+    step_at, dt, every = _compile(scn), scn.dt, scn.record_every
+    state = scn.initial_state
+    x, sat2, steps, trace = (state.iL1, state.iL2, state.Vo, state.d2), False, 0, []
+    for seg in _segments(scn):
+        step, record, _ = step_at(seg.R)
+        trace.append(record(seg.start, *x, sat2))
+        n_sub = seg.n_full + (seg.remainder > 0.0)
+        for i in range(1, n_sub + 1):
+            t = seg.end if i == n_sub else seg.start + i * dt
+            *x, sat2 = step(t, dt if i <= seg.n_full else seg.remainder, *x)
+            steps += 1
+            if steps % every == 0 and t != seg.end:
+                trace.append(record(t, *x, sat2))
+        trace.append(record(seg.end, *x, sat2))
+    return trace
+
+
+@pytest.mark.parametrize("every", [1, 7])
+def test_stationary_stretches_equal_stepping_every_step(constant_scenario, step_scenario, every):
+    """A run that counts a stationary stretch's steps at once and writes its
+    records from one body gives the trace of stepping every step, record for
+    record, as tuples and by repr, and still steps each shortened step.
+
+    Cases, all ending 0.37 steps off the dt grid: constant_load and
+    load_step to 0.06 s, which start at equilibrium, a fixed point of the
+    step, and a 10 uH first leg stepped by 1e-21 s from a state that each
+    step rounds back to, d2 held at 0 by its clamp, so that every record
+    has sat2 set. The two runs that never leave their start state step one
+    full step and the shortened one. At every 7 each case also runs with its
+    jumps kept, as simulate() runs it: constant_load then jumps up to its
+    last 3 full steps, fewer than MIN_JUMP, and steps one of them. After
+    load_step's event, jumps round differently from steps, so with jumps
+    kept that run is compared up to the event.
+    """
+    dt = constant_scenario.dt
+    rounded_back = replace(
+        constant_scenario, p1=replace(constant_scenario.p1, L=1e-5), dt=1e-21,
+        t_end=1000.37e-21, initial_state=PlantState(2.0, 0.5, 8.0, 0.0),
+    )
+    cases = (  # (scenario, stationary, last time at which jumps agree)
+        (replace(constant_scenario, t_end=0.06 + 0.37 * dt), True, math.inf),
+        (replace(step_scenario, t_end=0.06 + 0.37 * dt), False, 0.05),
+        (rounded_back, True, math.inf),
+    )
+    for base, stationary, jumps_agree_until in cases:
+        scn = replace(base, record_every=every)
+        want = _step_every_step(scn)
+        assert all(r.sat2 for r in want[1:]) is (base is rounded_back)
+        step_at = _compile(scn)
+        for keep_jumps in (False, True) if every >= MIN_JUMP else (False,):
+            calls = []
+
+            def logging_step_at(R):
+                step, record, jump = step_at(R)
+
+                def logged(t_next, h, *x):
+                    calls.append((t_next, h))
+                    return step(t_next, h, *x)
+
+                return logged, record, jump if keep_jumps else None
+
+            got = list(_integrate(scn, logging_step_at))
+            assert len(got) == len(want)
+            assert [t for t, h in calls if h != scn.dt] == [scn.t_end]
+            assert (len(calls) == 2) is stationary
+            for rec, w in zip(got, want):
+                if keep_jumps and rec.t > jumps_agree_until:
+                    break
+                assert rec == w and repr(rec) == repr(w), f"t={rec.t}"
 
 
 def test_event_within_rounding_of_start_takes_no_step(step_scenario):

@@ -1,0 +1,41 @@
+"""Trace-to-CSV rows: the text of each row, whatever the records share."""
+
+from parbuck import TraceRecord
+from parbuck.trace_csv import CSV_COLUMNS, trace_csv_rows
+
+
+def _row(r: TraceRecord) -> str:
+    """One CSV row written field by field, with repr for every float."""
+    return (
+        f"{r.t!r},{r.iL1!r},{r.iL2!r},{r.Vo!r},{r.d1!r},{r.d2!r},{r.d2_dot!r},"
+        f"{r.e!r},{r.e2!r},{r.V1_lyap!r},{r.V2_lyap!r},{r.R_active!r},"
+        f"{int(r.sat1)},{int(r.sat2)}\n"
+    )
+
+
+def test_rows_are_written_field_by_field_whatever_the_records_share():
+    """Rows equal the field-by-field row byte for byte, and each record is
+    passed on as it came, on hand-made records: bodies equal by == that
+    differ in the sign of a zero, alternating bodies, a stretch that shares
+    one body object, and equal bodies built from distinct float objects."""
+    zero, negative_zero = 0.0, -0.0
+    # Equal by ==, but d2_dot and e differ in the sign of their zeros.
+    plus = (0.5714285714285715, 0.22857142857142854, 8.0, 0.5, 0.5, zero, zero,
+            1e-300, 0.0, 5e-324, 10.0, False, False)
+    minus = plus[:5] + (negative_zero, negative_zero) + plus[7:]
+    assert plus == minus
+    # Equal values in objects of their own.
+    copy = tuple(float(repr(x)) if type(x) is float else x for x in plus)
+    assert copy == plus and any(a is not b for a, b in zip(copy, plus))
+    # Same state, but the other load and both flags set.
+    other = plus[:10] + (15.0, True, True)
+    bodies = [plus, minus, plus, minus, *[plus] * 4, copy, copy, other, other, minus, plus]
+    records = [TraceRecord(i * 1e-6, *body) for i, body in enumerate(bodies)]
+    records.insert(6, TraceRecord(records[5].t, *other))  # two records at one time
+
+    got = list(trace_csv_rows(records))
+    assert [r for r, _ in got] == records
+    assert all(a is b for (a, _), b in zip(got, records))
+    assert [row for _, row in got] == [_row(r) for r in records]
+    assert len(got[0][1].split(",")) == len(CSV_COLUMNS)
+    assert {row.split(",")[6] for _, row in got} == {"0.0", "-0.0"}
