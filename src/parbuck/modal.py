@@ -10,9 +10,12 @@ Basis. The interior closed loop u' = A·u + b is linear in u, and M is a
 polynomial in dt·A (RK4's stability polynomial), so the two share their
 invariant subspaces. When A's poles form two complex pairs, the real and
 imaginary parts of one eigenvector of each pair span a real invariant plane;
-V holds the four as columns and W = V^-1. In z = W·(u - u_f), where u_f is
-T's fixed point, B = W·M·V is block-diagonal up to rounding, and each
-diagonal block is a 2x2 scaled rotation.
+V holds the four as columns and W = V^-1. The Faddeev-LeVerrier recursion
+that gives A's characteristic polynomial also gives adj(lambda·I - A); at a
+simple pole lambda it has rank one, and its largest column is taken as
+lambda's eigenvector. In z = W·(u - u_f), where u_f is T's fixed point,
+B = W·M·V is block-diagonal up to rounding, and each diagonal block is a
+2x2 scaled rotation.
 
 Certificate. Let rho0 and rho1 be the 2-norms of B's diagonal blocks and eps
 the larger 2-norm of its off-diagonal blocks. If max(rho0, rho1) + eps <= 1,
@@ -29,17 +32,18 @@ above the rounding of the basis (V·W must equal I to 1e-12, or no
 certificate is built), of the skipped float steps and of the check.
 
 Everything here is pure Python on 4x4 matrices (lists of rows). A run
-builds one certificate each time it enters a load segment, so products and
-eliminations are written out entry by entry, with no call per entry and
-plain loops for the pivot searches. Each sum keeps the order of the textbook
-loop and each pivot search its tie-breaking, so the certificate does not
-depend on how the arithmetic is written.
+builds one certificate each time it enters a load segment, so products are
+written out entry by entry, with no call per entry, each sum in the order
+of the textbook loop. T's powers are composed with the kernel's own
+sim._Affine.of.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+
+from .sim import _Affine
 
 # Relative shrink of every half-space's slack.
 MARGIN = 1e-9
@@ -50,7 +54,8 @@ _IDENTITY = tuple(tuple(float(i == j) for j in range(4)) for i in range(4))
 def _matmul(a, b):
     (b00, b01, b02, b03), (b10, b11, b12, b13), \
         (b20, b21, b22, b23), (b30, b31, b32, b33) = b
-    # A loop, not a comprehension: see _compose.
+    # A loop, not a comprehension, which would close over the 16 names above
+    # and park its tuple of cells on CPython's tuple free list at each call.
     rows = []
     for x0, x1, x2, x3 in a:
         rows.append([
@@ -64,8 +69,9 @@ def _matmul(a, b):
 
 def _char_poly(a):
     """c1..c4 with det(lambda·I - a) = lambda^4 + c1·lambda^3 + c2·lambda^2
-    + c3·lambda + c4 (Faddeev-LeVerrier)."""
-    coeffs = []
+    + c3·lambda + c4, and M2..M4 with adj(lambda·I - a) = lambda^3·I +
+    lambda^2·M2 + lambda·M3 + M4 (Faddeev-LeVerrier)."""
+    coeffs, ms = [], []
     m = a  # a·M_k, with M_1 = I and M_(k+1) = a·M_k + c_k·I
     for k in range(1, 5):
         c = -(m[0][0] + m[1][1] + m[2][2] + m[3][3]) / k
@@ -74,8 +80,9 @@ def _char_poly(a):
             m = [list(row) for row in m]
             for i in range(4):
                 m[i][i] += c
+            ms.append(m)
             m = _matmul(a, m)
-    return coeffs
+    return coeffs, ms
 
 
 def _quadratic_roots(a, b, c):
@@ -121,41 +128,6 @@ def _roots(coeffs):
     return None
 
 
-def _null_vector(a):
-    """A null vector of the singular 4x4 matrix a, by Gaussian elimination
-    with complete pivoting, or None if a has rank below 3."""
-    a = [list(row) for row in a]
-    order = [0, 1, 2, 3]
-    for k in range(3):
-        # The largest (abs, row, column): a tie goes to the later entry.
-        size, i, j = abs(a[k][k]), k, k
-        for r in range(k, 4):
-            row = a[r]
-            for c in range(k, 4):
-                x = abs(row[c])
-                if x >= size:
-                    size, i, j = x, r, c
-        if size == 0.0:
-            return None
-        a[k], a[i] = a[i], a[k]
-        for row in a:
-            row[k], row[j] = row[j], row[k]
-        order[k], order[j] = order[j], order[k]
-        y0, y1, y2, y3 = pivot = a[k]
-        # Whole rows: the columns before k are never read again.
-        for r in range(k + 1, 4):
-            x0, x1, x2, x3 = row = a[r]
-            f = row[k] / pivot[k]
-            a[r] = [x0 - f * y0, x1 - f * y1, x2 - f * y2, x3 - f * y3]
-    x = [0j, 0j, 0j, 1.0 + 0j]
-    for k in (2, 1, 0):
-        x[k] = -sum(a[k][j] * x[j] for j in range(k + 1, 4)) / a[k][k]
-    v = [0j] * 4
-    for k, col in enumerate(order):
-        v[col] = x[k]
-    return v
-
-
 def _solve(a, b):
     """x with a·x = b, for 4x4 matrices a and b, by Gauss-Jordan elimination
     with partial pivoting; None if a is singular."""
@@ -187,31 +159,13 @@ def _norm2(a, b, c, d):
     return 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
 
 
-def _compose(p, q):
-    """The affine map p∘q; a map is 4 rows of 4 linear coefficients and a
-    constant."""
-    (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), (c0, c1, c2, c3, c4), (d0, d1, d2, d3, d4) = q
-    # A loop, not a comprehension: one would close over the 20 names above,
-    # and each call would leave its 20-tuple of cells parked on CPython's
-    # tuple free list (up to 2000 of them, 400 KiB).
-    rows = []
-    for x0, x1, x2, x3, x4 in p:
-        rows.append([
-            x0 * a0 + x1 * b0 + x2 * c0 + x3 * d0,
-            x0 * a1 + x1 * b1 + x2 * c1 + x3 * d1,
-            x0 * a2 + x1 * b2 + x2 * c2 + x3 * d2,
-            x0 * a3 + x1 * b3 + x2 * c3 + x3 * d3,
-            x0 * a4 + x1 * b4 + x2 * c4 + x3 * d4 + x4,
-        ])
-    return rows
-
-
 def modal_basis(a):
     """(poles, V, W) of the 4x4 matrix a: one pole of each complex pair, the
     smaller first, the real basis V of their invariant planes (columns
     Re v0, Im v0, Re v1, Im v1 of unit eigenvectors v0, v1) and W = V^-1.
     None unless the poles are two distinct complex pairs."""
-    roots = _roots(_char_poly(a))
+    coeffs, (m2, m3, m4) = _char_poly(a)
+    roots = _roots(coeffs)
     if roots is None:
         return None
     upper = sorted((z for z in roots if z.imag > 1e-9 * abs(z)), key=abs)
@@ -219,11 +173,16 @@ def modal_basis(a):
         return None
     cols = []
     for lam in upper:
-        v = _null_vector([[x - lam * (i == j) for j, x in enumerate(row)] for i, row in enumerate(a)])
-        if v is None:
+        # adj(lam·I - a) by Horner in lam, and its largest column.
+        adj = [
+            [((lam * (i == j) + x2) * lam + x3) * lam + x4 for j, (x2, x3, x4) in enumerate(zip(*rows))]
+            for i, rows in enumerate(zip(m2, m3, m4))
+        ]
+        size, j = max((sum(abs(row[j]) ** 2 for row in adj), j) for j in range(4))
+        if not size > 0.0:
             return None
-        scale = math.sqrt(sum(abs(x) ** 2 for x in v))
-        cols += [[x.real / scale for x in v], [x.imag / scale for x in v]]
+        scale = math.sqrt(size)
+        cols += [[row[j].real / scale for row in adj], [row[j].imag / scale for row in adj]]
     basis = [list(row) for row in zip(*cols)]
     inverse = _solve(basis, _IDENTITY)
     # The certificate's margin covers u - u_f = V·z only to this residual.
@@ -253,7 +212,7 @@ class Jump:
     def __init__(self, poles, basis, inverse, fixed, halfspaces, rows, star, state_map):
         self.poles, self.basis, self.inverse, self.fixed = poles, basis, inverse, fixed
         self.halfspaces, self.rows, self.star, self.state_map = halfspaces, rows, star, state_map
-        self._squares = [state_map]
+        self._squares = [[_Affine(row) for row in state_map]]
         self._powers = {}
 
     def __call__(self, n, iL1, iL2, Vo, d2):
@@ -285,14 +244,16 @@ class Jump:
         )
 
     def _power(self, n):
+        """T^n as 4 rows of 4 linear coefficients and a constant."""
         squares = self._squares
         while 1 << len(squares) <= n:
-            squares.append(_compose(squares[-1], squares[-1]))
+            last = squares[-1]
+            squares.append([form.of(last) for form in last])
         power = None
         for j, square in enumerate(squares):
             if n >> j & 1:
-                power = square if power is None else _compose(square, power)
-        return power
+                power = square if power is None else [form.of(power) for form in square]
+        return [form.c for form in power]
 
 
 def certify(a, state_map, star, halfspaces, n_max):

@@ -266,6 +266,18 @@ _DEVIATION = tuple(
 _LOW, _INTERIOR, _HIGH = 0, 1, 2  # regime of the d1 clamp at one RK4 stage
 
 
+def _rk4(h, u, slope):
+    """One RK4 step of length h from the four components u, with slope(u)
+    giving the four derivatives at u; over floats or over _Affine forms."""
+    half = 0.5 * h
+    k1 = slope(u)
+    k2 = slope([x + half * k for x, k in zip(u, k1)])
+    k3 = slope([x + half * k for x, k in zip(u, k2)])
+    k4 = slope([x + h * k for x, k in zip(u, k3)])
+    sixth = h / 6.0
+    return [x + sixth * (a + 2.0 * (b + c) + d) for x, a, b, c, d in zip(u, k1, k2, k3, k4)]
+
+
 def _compile(scenario: Scenario):
     """Compile the closed loop of one scenario into a fixed-step RK4 kernel.
 
@@ -287,17 +299,18 @@ def _compile(scenario: Scenario):
     bounds, the closed loop is affine in the state. step_at runs the chain
     with plant_derivatives' slopes over affine forms about x* =
     equilibrium(p1, p2, R, Vref), giving the field of each d1 regime (a
-    clamped one's when a stage first meets it), and composes four interior
-    stages of length dt into each stage's raw-d1 guard and a 4x5 state map
-    in u = x - x*. A full step whose four guards lie inside the duty bounds
-    applies that map. Every other step, a full step that meets the clamp or
-    a shortened step (one per load event off the dt grid), runs its four
-    stages, each on the field of the d1 regime its input meets. About x*
-    the constant terms come only from the field's rounding residual at x*,
-    so a step from the analytic fixed point leaves it in place (bit for bit
-    on the bundled scenarios, for dt up to 1e-3). Steps equal the scalar
-    RK4 of controller_step and plant_derivatives to rounding, not bit for
-    bit.
+    clamped one's when a stage first meets it). One RK4 routine, _rk4,
+    runs over forms to compose four interior stages of length dt into each
+    stage's raw-d1 guard and a 4x5 state map in u = x - x*, and over floats
+    to run every step that map cannot take. A full step whose four guards
+    lie inside the duty bounds applies the map. Every other step, a full
+    step that meets the clamp or a shortened step (one per load event off
+    the dt grid), runs its four stages, each on the field of the d1 regime
+    its input meets. About x* the constant terms come only from the field's
+    rounding residual at x*, so a step from the analytic fixed point leaves
+    it in place (bit for bit on the bundled scenarios, for dt up to 1e-3).
+    Steps equal the scalar RK4 of controller_step and plant_derivatives to
+    rounding, not bit for bit.
 
     n all-interior steps with d2 unclamped are the interior map's n-th
     power. When record_every >= MIN_JUMP, step_at certifies that region for
@@ -365,24 +378,22 @@ def _compile(scenario: Scenario):
         # The interior regime's four stages of length dt, composed into each
         # stage's raw-d1 guard and the 4x5 state map in u.
         rows = field(_INTERIOR)
-        inputs, guards, slopes = _DEVIATION, [], []
-        for c in (0.5 * dt, 0.5 * dt, dt, None):
+        guards = []
+
+        def interior_slope(inputs):
             guards.append(raw_d1.of(inputs).c)
-            slopes.append([row.of(inputs) for row in rows])
-            if c is not None:
-                inputs = [u + c * k for u, k in zip(_DEVIATION, slopes[-1])]
-        sixth = dt / 6.0
-        interior_map = [
-            (u + sixth * (a + 2.0 * (b + c) + d)).c for u, a, b, c, d in zip(_DEVIATION, *slopes)
-        ]
+            return [row.of(inputs) for row in rows]
+
+        interior_map = [form.c for form in _rk4(dt, _DEVIATION, interior_slope)]
         (g10, g11, g12, g13, g14), (g20, g21, g22, g23, g24), \
             (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = guards
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
             (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
         r0, r1, r2, r3, r4 = raw_d1.c
 
-        def slope(v0, v1, v2, v3):
+        def slope(v):
             """The closed loop's field at deviation v, in the d1 regime there."""
+            v0, v1, v2, v3 = v
             d1 = r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4
             f, g, p, q = field(_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR)
             (f0, f1, f2, f3, f4), (g0, g1, g2, g3, g4), \
@@ -392,22 +403,6 @@ def _compile(scenario: Scenario):
                 g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3 + g4,
                 p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4,
                 q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3 + q4,
-            )
-
-        def staged(h, u0, u1, u2, u3):
-            """The state after one RK4 step of length h from deviation u, each
-            stage on the field of the d1 regime its input meets."""
-            half = 0.5 * h
-            k10, k11, k12, k13 = slope(u0, u1, u2, u3)
-            k20, k21, k22, k23 = slope(u0 + half * k10, u1 + half * k11, u2 + half * k12, u3 + half * k13)
-            k30, k31, k32, k33 = slope(u0 + half * k20, u1 + half * k21, u2 + half * k22, u3 + half * k23)
-            k40, k41, k42, k43 = slope(u0 + h * k30, u1 + h * k31, u2 + h * k32, u3 + h * k33)
-            sixth = h / 6.0
-            return (
-                s0 + (u0 + sixth * (k10 + 2.0 * (k20 + k30) + k40)),
-                s1 + (u1 + sixth * (k11 + 2.0 * (k21 + k31) + k41)),
-                s2 + (u2 + sixth * (k12 + 2.0 * (k22 + k32) + k42)),
-                s3 + (u3 + sixth * (k13 + 2.0 * (k23 + k33) + k43)),
             )
 
         jump = None
@@ -429,9 +424,11 @@ def _compile(scenario: Scenario):
                 ((0.0, 0.0, 0.0, 1.0), s3, 1.0),
                 ((0.0, 0.0, 0.0, -1.0), -s3, 0.0),
             ]
+            # No jump is longer than a segment's full steps, which MAX_STEPS
+            # bounds, so a larger cadence needs no larger certificate.
             jump = certify(
                 [row.c[:4] for row in rows],
-                interior_map, (s0, s1, s2, s3), halfspaces, every,
+                interior_map, (s0, s1, s2, s3), halfspaces, min(every, MAX_STEPS),
             )
 
         def step(t_next, h, iL1, iL2, Vo, d2):
@@ -451,7 +448,9 @@ def _compile(scenario: Scenario):
                 Vo = s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4)
                 d2 = s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4)
             else:
-                iL1, iL2, Vo, d2 = staged(h, u0, u1, u2, u3)
+                # Each stage on the field of the d1 regime its input meets.
+                v0, v1, v2, v3 = _rk4(h, (u0, u1, u2, u3), slope)
+                iL1, iL2, Vo, d2 = s0 + v0, s1 + v1, s2 + v2, s3 + v3
             if not isfinite(d2):
                 raise DivergenceError(t_next, "d2")
             if not (isfinite(iL1) and isfinite(iL2) and isfinite(Vo)):

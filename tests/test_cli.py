@@ -172,6 +172,16 @@ def test_non_finite_record_cadence_exits_parse(tmp_path, capsys, cadence):
         assert "record_every" in capsys.readouterr().err
 
 
+def test_run_with_a_401_digit_record_cadence_exits_ok(tmp_path):
+    """A record cadence that no float holds runs the bundled load step to
+    its four records: start, both sides of the event and end."""
+    scn = tmp_path / "load_step.scn"
+    scn.write_text(bundled_scenario_text("load_step"), encoding="utf-8")
+    out = tmp_path / "sparse.csv"
+    assert main(["run", str(scn), "-o", str(out), "--record-every", "1" + "0" * 400]) == EXIT_OK
+    assert len(out.read_text().splitlines()) == 1 + 4
+
+
 @pytest.mark.parametrize("command", ["run", "validate", "plot"])
 def test_non_utf8_input_exits_parse(tmp_path, capsys, command):
     """A file saved as UTF-16, as some editors do, is named as not UTF-8."""

@@ -43,6 +43,7 @@ from parbuck import (
     run,
     simulate,
 )
+from parbuck import modal
 from parbuck.sim import (
     CCM_TOL, MIN_JUMP, RECHECK_AFTER, _compile, _integrate, _segments, step_count,
 )
@@ -260,6 +261,47 @@ def test_bundled_interior_poles(step_scenario):
     assert fast == pytest.approx(-27500.5 + 41758.56j, rel=1e-6)
 
 
+def test_each_modal_plane_is_an_eigenplane(step_scenario, monkeypatch):
+    """For each pole lambda of a certified setup, v = V[:, 2p] + i·V[:, 2p+1]
+    from the jump's basis is an eigenvector of the interior matrix A that
+    certify receives: |A·v - lambda·v| <= 1e-13·max|A|·|v|."""
+    matrices = []
+    certify = modal.certify
+
+    def capture(a, *args):
+        matrices.append(a)
+        return certify(a, *args)
+
+    monkeypatch.setattr(modal, "certify", capture)
+    setups, worst = 0, 0.0
+    for _, _, jump in _certified_setups(step_scenario):
+        a = matrices[-1]
+        size = max(abs(x) for row in a for x in row)
+        setups += 1
+        for p, lam in enumerate(jump.poles):
+            v = [row[2 * p] + 1j * row[2 * p + 1] for row in jump.basis]
+            residual = math.sqrt(sum(
+                abs(sum(x * y for x, y in zip(row, v)) - lam * vi) ** 2 for row, vi in zip(a, v)
+            ))
+            norm = math.sqrt(sum(abs(vi) ** 2 for vi in v))
+            worst = max(worst, residual / (size * norm))
+            assert residual <= 1e-13 * size * norm
+    print(f"\n  {setups} certified setups; worst |Av - lambda·v| / (max|A|·|v|) {worst:.2e}")
+    assert setups >= 40
+
+
+@pytest.mark.parametrize("a", [
+    [[-1.0, 0.0, 0.0, 0.0], [0.0, -2.0, 0.0, 0.0], [0.0, 0.0, -3.0, 0.0], [0.0, 0.0, 0.0, -4.0]],
+    [[-1.0, 300.0, 0.0, 0.0], [-300.0, -1.0, 0.0, 0.0], [0.0, 0.0, -1.0, 300.0], [0.0, 0.0, -300.0, -1.0]],
+    [[0.0] * 4 for _ in range(4)],
+], ids=["real-poles", "repeated-pair", "zero"])
+def test_modal_basis_refuses_what_it_cannot_certify(a):
+    """Real poles, a repeated complex pair and the zero matrix have no basis
+    of two distinct invariant planes: modal_basis returns None, and does not
+    raise."""
+    assert modal.modal_basis(a) is None
+
+
 def _state_at(jump, z):
     """The absolute state whose modal coordinates about the jump's fixed
     point are z."""
@@ -474,16 +516,17 @@ def test_modal_is_imported_only_by_a_run_that_can_jump():
     assert result.stdout.split() == ["False", "True"]
 
 
-def test_sparse_records_keep_their_jumps(step_scenario, step_trace):
+@pytest.mark.parametrize("every", [10**6, 10**400], ids=["1e6", "1e400"])
+def test_sparse_records_keep_their_jumps(step_scenario, step_trace, every):
     """After a failed jump check the run checks again within RECHECK_AFTER
-    steps, not only at the next record: with one record per 10**6 steps the
-    bundled load step still jumps at least 99% of its steps, and its four
-    records (start, both sides of the event, end) match the rows of the
-    shipped cadence at the same times to 1e-10 of each column's peak. The
-    shipped cadence of 50 is within RECHECK_AFTER, so it checks only at its
-    records."""
+    steps, not only at the next record: with one record per 10**6 steps, or
+    per 10**400, which no float holds, the bundled load step still jumps at
+    least 99% of its steps, and its four records (start, both sides of the
+    event, end) match the rows of the shipped cadence at the same times to
+    1e-10 of each column's peak. The shipped cadence of 50 is within
+    RECHECK_AFTER, so it checks only at its records."""
     assert RECHECK_AFTER >= step_scenario.record_every
-    sparse = replace(step_scenario, record_every=10**6)
+    sparse = replace(step_scenario, record_every=every)
     records, stepped = _count_steps(sparse)
     total = step_count(sparse)
     print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
@@ -537,7 +580,7 @@ DENSE_TRACE_SHA256 = "3ec5a7c921cf8b525fb491df449e5256d07a8075e718842d342f32c346
 # sha256 of repr((poles, basis, inverse, fixed, rows)) of the bundled pair's
 # jump certificates at its two loads, so that a changed certificate shows
 # even where it accepts the same jumps.
-JUMP_CERTIFICATES_SHA256 = "9e2c1654d7e8ead8d02b178543326984d9ab43392977d0a234143c925636cb87"
+JUMP_CERTIFICATES_SHA256 = "b1e6ffac2bbf8ceb729e511db52511ae033ea36f1b852b26f0c2580c408c4b06"
 
 
 def _assert_matches_reference(trace, workload: str) -> None:
