@@ -99,35 +99,40 @@ def compute_metrics(
     longest = 0.0
     sat_start = None
     window: deque[tuple[float, float, float]] = deque()
-    prev = None
-    for rec in trace:
-        t = rec.t
-        if prev is None:
+    # Each record is unpacked once. The previous record's t, R, loop
+    # energies and saturation are carried forward, and each pair is tested
+    # as _pair_verdict tests it, with t_start = 0.
+    first = True
+    prev_t = prev_R = prev_V1 = prev_V2 = prev_sat = None
+    for t, _, _, Vo, _, _, _, e, e2, V1, V2, R, sat1, sat2 in trace:
+        sat = sat1 or sat2
+        if first:
+            first = False
             t0 = t
         else:
-            if not t >= prev.t:  # also rejects a nan time
-                raise ParbuckError(f"trace must be time-sorted: t={t!r} follows t={prev.t!r}")
-            if rec.R_active != prev.R_active:
+            if not t >= prev_t:  # also rejects a nan time
+                raise ParbuckError(f"trace must be time-sorted: t={t!r} follows t={prev_t!r}")
+            if R != prev_R:
                 last_event_t = t
-            verdict = _pair_verdict(prev, rec, lyap_tol, 0.0)
-            if verdict is not None:
+            if not (prev_t < 0.0 or t == prev_t or prev_sat or sat):
                 pairs += 1
-                violations += verdict
-        prev = rec
+                if V1 - prev_V1 > lyap_tol or V2 - prev_V2 > lyap_tol:
+                    violations += 1
+        prev_t, prev_R, prev_V1, prev_V2, prev_sat = t, R, V1, V2, sat
 
-        if abs(rec.Vo - Vref) / Vref < band:
+        if abs(Vo - Vref) / Vref < band:
             if settle_v is None:
                 settle_v = t
         else:
             settle_v = None
             last_outside_v = t
-        if abs(rec.e2) < share_threshold:
+        if abs(e2) < share_threshold:
             if settle_share is None:
                 settle_share = t
         else:
             settle_share = None
 
-        if rec.sat1 or rec.sat2:
+        if sat:
             if sat_start is None:
                 sat_start = t
             longest = max(longest, t - sat_start)
@@ -137,14 +142,14 @@ def compute_metrics(
         # The final tenth starts no earlier than it would if this record were
         # the last; the margin covers the rounding of that bound, which moves
         # it by a few ulps of |t| + |t0|.
-        window.append((t, abs(rec.e), abs(rec.e2)))
+        window.append((t, abs(e), abs(e2)))
         keep_from = t - 0.1 * (t - t0) - (1e-12 * (abs(t) + abs(t0)) + 1e-300)
         while window[0][0] < keep_from:
             window.popleft()
 
-    if prev is None:
+    if first:
         raise ParbuckError("cannot compute metrics of an empty trace")
-    t_last = prev.t
+    t_last = prev_t
     window_start = t_last - 0.1 * (t_last - t0)
     tail = [(abs_e, abs_e2) for t, abs_e, abs_e2 in window if t >= window_start]
     ss_voltage = sum(abs_e for abs_e, _ in tail) / len(tail)

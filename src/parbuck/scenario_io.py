@@ -86,6 +86,20 @@ def _number(table: dict[str, tuple[str, int]], key: str, default: float | None =
         ) from None
 
 
+def _cadence(table: dict[str, tuple[str, int]], key: str, default: int) -> int | float:
+    """An integer entry. An integer literal is read with int(), so that one
+    above 2**53 keeps every digit; any other number is read as a float and
+    made an int when it is integral (Scenario rejects the rest)."""
+    if key not in table:
+        return default
+    try:
+        return int(table[key][0])
+    except ValueError:
+        pass
+    value = _number(table, key)
+    return int(value) if value.is_integer() else value
+
+
 def _si_number(table: dict[str, tuple[str, int]], key: str, shift: int) -> float:
     """The value of an engineering-unit entry in SI units, 10**-shift times
     the written number, rounded once from its decimal digits."""
@@ -157,9 +171,7 @@ def parse_scenario(text: str) -> Scenario:
     vref = _number(sim_table, "Vref_V")
     dt = _number(sim_table, "dt_s", 1e-6)
     t_end = _number(sim_table, "t_end_s", 0.1)
-    record_every = _number(sim_table, "record_every", 50.0)
-    if record_every.is_integer():  # Scenario rejects any other cadence
-        record_every = int(record_every)
+    record_every = _cadence(sim_table, "record_every", 50)
     init, lineno = sim_table.get("init", ("zero", None))
     if init not in _INIT_LABELS:
         raise ScenarioFormatError(

@@ -471,12 +471,14 @@ def _compile(scenario: Scenario):
             if duty_max < d1:
                 d1 = duty_max
             d2_dot, e2, v_tilde = sharing_law(R, iL1, iL2, Vo, d2, d1)
-            return TraceRecord(
+            # tuple.__new__ skips the Python-level __new__ that NamedTuple
+            # generates, which only packs its arguments into this tuple.
+            return tuple.__new__(TraceRecord, (
                 t, iL1, iL2, Vo, d1, d2, d2_dot, e, e2,
                 0.5 * (e * e + i_tilde * i_tilde),
                 0.5 * (e2 * e2 + v_tilde * v_tilde),
                 R, d1 != raw, sat2,
-            )
+            ))
 
         return step, record, jump
 
@@ -575,7 +577,7 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
                     for j in range(i + (-steps) % every, last + 1, every):
                         t_next = seg_end if j == n_sub else seg_start + j * dt
                         if t_next != seg_end:
-                            yield TraceRecord(t_next, *body)
+                            yield tuple.__new__(TraceRecord, (t_next, *body))
                     steps += last - i
                     i = last
                     break

@@ -3,7 +3,11 @@
 Floats are written with repr (shortest round-trip form, decimal point, no
 locale), so identical runs produce byte-identical files. A record whose
 fields after t are the very objects of the previous record's, as those of
-a stationary stretch are, reuses that row's text after t.
+a stationary stretch are, reuses that row's text after t. Otherwise each
+float column reuses the text of its last value when the new value is a
+float equal to it and nonzero: equal nonzero floats have the same bits. A
+zero (0.0 == -0.0), a nan (never equal) and any value that is not a float
+(an int's repr differs from an equal float's) are written afresh.
 """
 
 from __future__ import annotations
@@ -26,19 +30,42 @@ def trace_csv_rows(trace: Iterable[TraceRecord]) -> Iterator[tuple[TraceRecord, 
     """Each record with its CSV row, the row ending in a newline."""
     # == rejects a new body fast; `is` accepts a repeated one, since equal
     # floats may differ in the sign of a zero. Records of one load segment
-    # share one resistance object: format it once.
+    # share one resistance object: format it once. Each float column keeps
+    # its last value (the v_ names) and that value's text (the s_ names).
     body = text = R = R_text = None
+    v_iL1 = v_iL2 = v_Vo = v_d1 = v_d2 = v_d2_dot = v_e = v_e2 = v_V1 = v_V2 = None
+    s_iL1 = s_iL2 = s_Vo = s_d1 = s_d2 = s_d2_dot = s_e = s_e2 = s_V1 = s_V2 = None
     for r in trace:
         b = r[1:]
         if b != body or not all(map(is_, b, body)):
             body = b
-            if r.R_active is not R:
-                R = r.R_active
+            _, iL1, iL2, Vo, d1, d2, d2_dot, e, e2, V1, V2, R_active, sat1, sat2 = r
+            if R_active is not R:
+                R = R_active
                 R_text = repr(R)
+            if not (iL1 == v_iL1 and iL1 and type(iL1) is float is type(v_iL1)):
+                v_iL1, s_iL1 = iL1, repr(iL1)
+            if not (iL2 == v_iL2 and iL2 and type(iL2) is float is type(v_iL2)):
+                v_iL2, s_iL2 = iL2, repr(iL2)
+            if not (Vo == v_Vo and Vo and type(Vo) is float is type(v_Vo)):
+                v_Vo, s_Vo = Vo, repr(Vo)
+            if not (d1 == v_d1 and d1 and type(d1) is float is type(v_d1)):
+                v_d1, s_d1 = d1, repr(d1)
+            if not (d2 == v_d2 and d2 and type(d2) is float is type(v_d2)):
+                v_d2, s_d2 = d2, repr(d2)
+            if not (d2_dot == v_d2_dot and d2_dot and type(d2_dot) is float is type(v_d2_dot)):
+                v_d2_dot, s_d2_dot = d2_dot, repr(d2_dot)
+            if not (e == v_e and e and type(e) is float is type(v_e)):
+                v_e, s_e = e, repr(e)
+            if not (e2 == v_e2 and e2 and type(e2) is float is type(v_e2)):
+                v_e2, s_e2 = e2, repr(e2)
+            if not (V1 == v_V1 and V1 and type(V1) is float is type(v_V1)):
+                v_V1, s_V1 = V1, repr(V1)
+            if not (V2 == v_V2 and V2 and type(V2) is float is type(v_V2)):
+                v_V2, s_V2 = V2, repr(V2)
             text = (
-                f",{r.iL1!r},{r.iL2!r},{r.Vo!r},{r.d1!r},{r.d2!r},{r.d2_dot!r},"
-                f"{r.e!r},{r.e2!r},{r.V1_lyap!r},{r.V2_lyap!r},{R_text},"
-                f"{int(r.sat1)},{int(r.sat2)}\n"
+                f",{s_iL1},{s_iL2},{s_Vo},{s_d1},{s_d2},{s_d2_dot},"
+                f"{s_e},{s_e2},{s_V1},{s_V2},{R_text},{int(sat1)},{int(sat2)}\n"
             )
         yield r, f"{r.t!r}{text}"
 

@@ -255,6 +255,10 @@ _converters = st.builds(
 )
 
 
+# Cadences a float cannot hold: the file must keep every digit.
+_LARGE_CADENCES = (2**53 + 1, 10**17 + 1, 10**400)
+
+
 @st.composite
 def scenarios(draw):
     """Valid scenarios with a file-representable initial state."""
@@ -275,7 +279,7 @@ def scenarios(draw):
         return Scenario(
             p1, p2, gains, vref, schedule, dt=draw(_finite(1e-9, 1e-3)),
             t_end=draw(_finite(0.0, 10.0)), initial_state=state,
-            record_every=draw(st.integers(1, 10**6)),
+            record_every=draw(st.integers(1, 10**6) | st.sampled_from(_LARGE_CADENCES)),
         )
     except (ParameterError, DegenerateConfigError):
         assume(False)

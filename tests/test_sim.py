@@ -1032,6 +1032,34 @@ def test_record_cadence_counts_steps(constant_scenario):
     assert times == expected
 
 
+@pytest.mark.parametrize("case", ["load_step_every_1", "load_step_every_50", "off_grid_events"])
+def test_every_record_is_a_trace_record(step_scenario, case):
+    """Every record simulate yields is a TraceRecord whose named fields are
+    its items, whichever way the run built it: the bundled load step at
+    cadence 1 (a stationary stretch's records share one body before the
+    event) and at cadence 50 (jumps), and twenty load events off the dt
+    grid (shortened steps)."""
+    events = tuple(LoadStep(i * 9.5e-5 + 3.7e-7, (15.0, 10.0)[i % 2]) for i in range(1, 21))
+    scn = {
+        "load_step_every_1": replace(step_scenario, record_every=1),
+        "load_step_every_50": step_scenario,
+        "off_grid_events": replace(
+            step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.002,
+        ),
+    }[case]
+    shared = count = 0
+    prev = None
+    for r in simulate(scn):
+        assert type(r) is TraceRecord
+        assert all(getattr(r, name) is x for name, x in zip(TraceRecord._fields, r, strict=True))
+        shared += prev is not None and r.iL1 is prev.iL1 and r.sat2 is prev.sat2
+        count += 1
+        prev = r
+    assert count > 2
+    if case == "load_step_every_1":
+        assert shared > 40_000
+
+
 def test_d2_clamp_is_recorded(constant_scenario):
     """A state that drives d2 above 1 gets clamped with the sat2 flag set."""
     start = PlantState(iL1=5.0, iL2=2.0, Vo=0.0, d2=1.0)

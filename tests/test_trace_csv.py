@@ -1,5 +1,7 @@
 """Trace-to-CSV rows: the text of each row, whatever the records share."""
 
+import math
+
 from parbuck import TraceRecord
 from parbuck.trace_csv import CSV_COLUMNS, trace_csv_rows
 
@@ -39,3 +41,48 @@ def test_rows_are_written_field_by_field_whatever_the_records_share():
     assert [row for _, row in got] == [_row(r) for r in records]
     assert len(got[0][1].split(",")) == len(CSV_COLUMNS)
     assert {row.split(",")[6] for _, row in got} == {"0.0", "-0.0"}
+
+
+def _fresh(x):
+    """x in a float object of its own; any other value as it is."""
+    return float(repr(x)) if type(x) is float else x
+
+
+def test_column_text_is_reused_only_for_the_same_bits():
+    """Rows equal the field-by-field row byte for byte on records that never
+    share a body object, so that each column's text is reused or written
+    afresh value by value: a column flipping between 0.0 and -0.0 while the
+    others repeat by value in objects of their own, a column that repeats
+    while its neighbours change, infinities and a nan, and an int next to
+    an equal float, whose repr differs."""
+    values = [0.5714285714285715, 0.22857142857142854, 8.0, 0.5, 0.5, 0.0, 1e-300,
+              -2.5e-17, 5e-324, 10.0]
+    bodies = []
+    for k in range(6):  # d2_dot flips the sign of its zero
+        body = [_fresh(x) for x in values]
+        body[5] = -0.0 if k % 2 else 0.0
+        bodies.append(body)
+    for k in range(1, 6):  # Vo repeats while iL1 and iL2 change
+        body = [_fresh(x) for x in values]
+        body[0] += k * 1e-3
+        body[1] -= k * 1e-3
+        bodies.append(body)
+    for x in (math.inf, math.inf, -math.inf, -math.inf, math.nan, math.nan):
+        bodies.append([_fresh(v) for v in values[:7]] + [x] + [_fresh(v) for v in values[8:]])
+    for d1 in (1, 1.0, 1.0, 1, 1):  # an int and an equal float in turn
+        bodies.append([_fresh(x) for x in values[:3]] + [d1] + [_fresh(x) for x in values[4:]])
+    records = [
+        TraceRecord(i * 1e-6, *body, 15.0 if i > 10 else 10.0, i % 3 == 0, False)
+        for i, body in enumerate(bodies)
+    ]
+    assert all(
+        any(x is not y for x, y in zip(a[1:11], b[1:11])) for a, b in zip(records, records[1:])
+    )
+
+    got = list(trace_csv_rows(records))
+    assert all(a is b for (a, _), b in zip(got, records))
+    assert [row for _, row in got] == [_row(r) for r in records]
+    columns = [row.split(",") for _, row in got]
+    assert {c[6] for c in columns} == {"0.0", "-0.0"}
+    assert {c[8] for c in columns} >= {"inf", "-inf", "nan"}
+    assert [c[4] for c in columns[-5:]] == ["1", "1.0", "1.0", "1", "1"]
