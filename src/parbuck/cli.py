@@ -74,14 +74,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
         except ParbuckError as exc:
             return _fail(EXIT_PARSE, f"{args.scenario}: {exc}")
 
-    started = time.perf_counter()
-    records = simulate(scenario)
-
     # The CSV is written to a side file and renamed onto the output path only
     # once the run and its metrics succeed, so a failed run leaves no file
-    # and never overwrites an existing one.
+    # and never overwrites an existing one. No file can replace a directory,
+    # so that is refused before the run.
     out_path = args.output or str(Path(args.scenario).with_suffix(".csv").name)
+    if os.path.isdir(out_path):
+        return _fail(EXIT_IO, f"cannot write {out_path!r}: it is a directory")
     part_path = Path(out_path + ".part")
+
+    started = time.perf_counter()
+    records = simulate(scenario)
     count = 0
 
     def written(fh):

@@ -4,21 +4,27 @@ Settling is "enter the band and never leave it again before the end of the
 trace"; a signal still outside its band at the last sample has no settling
 time. Steady-state errors are means over the final 10% of the trace's time
 span. Every metric is computed in one pass over the records, so a trace can
-be reduced while it is produced. Lyapunov decrease is a reported diagnostic
-rather than a hard check: the sharing-loop energy (e2^2 + v_tilde^2)/2 is
-guaranteed to decrease only while d1 is frozen, and the voltage law moves d1
-against d2 (see the parbuck.control module docstring).
+be reduced while it is produced, holding only t, e and e2 (24 bytes) of each
+record that may fall in the final tenth, plus up to 1,024 more rows. Lyapunov
+decrease is a reported diagnostic rather than a hard check: the sharing-loop
+energy (e2^2 + v_tilde^2)/2 is guaranteed to decrease only while d1 is
+frozen, and the voltage law moves d1 against d2 (see the parbuck.control
+module docstring).
 """
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import pairwise
+from math import inf
+from struct import Struct
 from typing import Iterable
 
 from .errors import ParbuckError
 from .sim import TraceRecord
+
+_ROW = Struct("3d")  # t, e and e2 of one record in the steady-state window
 
 
 @dataclass(frozen=True)
@@ -85,11 +91,14 @@ def compute_metrics(
     """Reduce a time-sorted trace to RunMetrics in one pass.
 
     trace may be any iterable, a generator included. Each record is dropped
-    once seen, except that (t, |e|, |e2|) is kept while it may still fall in
-    the final tenth of the time span. band is the relative voltage tolerance
-    (|Vo - Vref|/Vref), and share_threshold the absolute bound on the
-    per-unit sharing error.
+    once seen, except that its t, e and e2 stay as a 24-byte row while it
+    may fall in the final tenth of the time span; rows are pruned every
+    1,024 records. band is the relative voltage tolerance (|Vo - Vref|/Vref),
+    and share_threshold the absolute bound on the per-unit sharing error. A
+    Vref or a time that is not finite, or a Vref <= 0, raises ParbuckError.
     """
+    if not 0.0 < Vref < inf:  # also rejects a nan Vref
+        raise ParbuckError(f"Vref must be positive and finite, got {Vref!r}")
     # A settle time is a candidate: an outside sample clears it, the next
     # inside sample sets it, and it stands if no outside sample follows.
     settle_v = settle_share = None
@@ -98,7 +107,12 @@ def compute_metrics(
     violations = pairs = 0
     longest = 0.0
     sat_start = None
-    window: deque[tuple[float, float, float]] = deque()
+    # Signed rows (abs is exact; the tail sums take it). Row 0 stays, so a
+    # prune moves the rest down in place: a bytearray cut at its start would
+    # copy itself on the next append.
+    rows = bytearray()
+    pack = _ROW.pack
+    prune_at = 1024 * 24
     # Each record is unpacked once. The previous record's t, R, loop
     # energies and saturation are carried forward, and each pair is tested
     # as _pair_verdict tests it, with t_start = 0.
@@ -107,6 +121,9 @@ def compute_metrics(
     for t, _, _, Vo, _, _, _, e, e2, V1, V2, R, sat1, sat2 in trace:
         sat = sat1 or sat2
         if first:
+            # Times are sorted, so a finite first and last time bound them all.
+            if not -inf < t < inf:
+                raise ParbuckError(f"trace times must be finite, got t={t!r}")
             first = False
             t0 = t
         else:
@@ -139,21 +156,28 @@ def compute_metrics(
         else:
             sat_start = None
 
-        # The final tenth starts no earlier than it would if this record were
-        # the last; the margin covers the rounding of that bound, which moves
-        # it by a few ulps of |t| + |t0|.
-        window.append((t, abs(e), abs(e2)))
-        keep_from = t - 0.1 * (t - t0) - (1e-12 * (abs(t) + abs(t0)) + 1e-300)
-        while window[0][0] < keep_from:
-            window.popleft()
+        rows += pack(t, e, e2)
+        if len(rows) >= prune_at:
+            # The final tenth starts no earlier than it would if this record
+            # were the last; the margin covers the rounding of that bound,
+            # which moves it by a few ulps of |t| + |t0|.
+            keep_from = t - 0.1 * (t - t0) - (1e-12 * (abs(t) + abs(t0)) + 1e-300)
+            with memoryview(rows) as raw, raw.cast("d") as flat:
+                keep = bisect_left(flat[::3], keep_from, 1)
+            del rows[24:24 * keep]
+            prune_at = len(rows) + 1024 * 24
 
     if first:
         raise ParbuckError("cannot compute metrics of an empty trace")
     t_last = prev_t
+    if t_last == inf:
+        raise ParbuckError(f"trace times must be finite, got t={t_last!r}")
     window_start = t_last - 0.1 * (t_last - t0)
-    tail = [(abs_e, abs_e2) for t, abs_e, abs_e2 in window if t >= window_start]
-    ss_voltage = sum(abs_e for abs_e, _ in tail) / len(tail)
-    ss_sharing = sum(abs_e2 for _, abs_e2 in tail) / len(tail)
+    with memoryview(rows) as raw, raw.cast("d") as flat:
+        start = 3 * bisect_left(flat[::3], window_start)
+        count = (len(flat) - start) // 3
+        ss_voltage = sum(map(abs, flat[start + 1::3])) / count
+        ss_sharing = sum(map(abs, flat[start + 2::3])) / count
 
     # Recovery is the voltage settle time of the records from the last event
     # on; the first of them is at the event time.

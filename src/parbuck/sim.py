@@ -36,6 +36,11 @@ RECHECK_AFTER = 64
 # two microseconds per step that is minutes of work, not days.
 MAX_STEPS = 10**8
 
+# The first cadence too long to write: format_scenario writes record_every in
+# decimal, and CPython converts at most 4,300 digits. A cadence past
+# MAX_STEPS records no more than one at MAX_STEPS does.
+RECORD_EVERY_LIMIT = 10**4300
+
 
 class LoadStep(NamedTuple):
     """One entry of the load schedule: from `time` on, the load is `R` ohms."""
@@ -88,6 +93,8 @@ class Scenario:
             raise ParameterError(f"record_every must be an integer, got {s.record_every!r}")
         if s.record_every < 1:
             raise ParameterError(f"record_every must be >= 1, got {s.record_every!r}")
+        if s.record_every >= RECORD_EVERY_LIMIT:
+            raise ParameterError("record_every must be below 10**4300")
         if not is_finite_real(s.Vref) or s.Vref <= 0.0:
             raise ParameterError(f"Vref must be positive, got {s.Vref!r}")
         if s.Vref >= min(s.p1.Vin, s.p2.Vin):

@@ -73,7 +73,7 @@ def test_run_missing_scenario_exits_io(tmp_path, capsys):
     assert str(missing) in capsys.readouterr().err
 
 
-def test_run_unwritable_output_exits_io(constant_scn, tmp_path, capsys):
+def test_run_unwritable_output_exits_io(constant_scn, tmp_path, capsys, monkeypatch):
     code = main(["run", str(constant_scn), "-o", str(tmp_path / "no" / "dir" / "x.csv"),
                  "--t-end", "0.0"])
     assert code == EXIT_IO
@@ -82,6 +82,15 @@ def test_run_unwritable_output_exits_io(constant_scn, tmp_path, capsys):
     directory.mkdir()
     assert main(["run", str(constant_scn), "-o", str(directory), "--t-end", "0.0"]) == EXIT_IO
     assert "cannot write" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.part")) and not any(directory.iterdir())
+
+    # A directory at the output path is refused before anything is simulated.
+    def no_simulation(scenario):
+        raise AssertionError("simulate was called")
+
+    monkeypatch.setattr(parbuck.cli, "simulate", no_simulation)
+    assert main(["run", str(constant_scn), "-o", str(directory), "--t-end", "0.01"]) == EXIT_IO
+    assert "is a directory" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.part")) and not any(directory.iterdir())
 
 

@@ -1,6 +1,7 @@
 """Metrics: settling semantics, tail means, Lyapunov diagnostic, invariances,
 and equality of the one-pass reduction with the multi-pass oracle."""
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -165,6 +166,26 @@ def test_nan_time_is_not_time_sorted():
         compute_metrics(trace, Vref=8.0)
 
 
+@pytest.mark.parametrize("times", [
+    (0.0, 0.01, float("inf")),
+    (float("-inf"), 0.0, 0.01),
+    (float("inf"),),
+    (float("nan"),),
+], ids=["inf_last", "minus_inf_first", "single_inf", "single_nan"])
+def test_infinite_time_is_rejected(times):
+    """A time span with an infinite or nan end has no final tenth."""
+    trace = [make_record(t) for t in times]
+    with pytest.raises(ParbuckError, match="times must be finite"):
+        compute_metrics(trace, Vref=8.0)
+
+
+@pytest.mark.parametrize("Vref", [0.0, -12.0, float("inf"), float("nan")])
+def test_vref_must_be_positive_and_finite(Vref):
+    """The voltage band is relative to Vref, so no other Vref defines it."""
+    with pytest.raises(ParbuckError, match="Vref must be positive and finite"):
+        compute_metrics(flat_trace(), Vref=Vref)
+
+
 # ── One pass equals the multi-pass oracle ────────────────────────────────────
 
 
@@ -257,6 +278,42 @@ def test_one_pass_metrics_equal_the_oracle_on_edge_cases(case):
 def test_one_pass_metrics_equal_the_oracle_on_the_load_step(step_trace):
     m = assert_same_metrics(step_trace, 8.0)
     assert m.recovery_time is not None
+
+
+def test_window_pruned_next_to_the_end_keeps_the_rounded_final_tenth():
+    """The 1,024th record prunes the window with the final tenth's bound as
+    it rounds there, which exceeds the bound at the next and last record by
+    one ulp; the record at the final bound must survive that pruning."""
+    t0, a = -1000.0, 1.0000000000000568
+    b = math.nextafter(a, math.inf)
+    start_at_a, start_at_b = a - 0.1 * (a - t0), b - 0.1 * (b - t0)
+    assert start_at_a > start_at_b
+    times = ([t0 + i for i in range(800)] + [start_at_b]
+             + [-99.0 + 0.1 * i for i in range(222)] + [a, b])
+    assert len(times) == 1025 and times == sorted(times)
+    trace = [make_record(t, Vo=7.9 if t == start_at_b else 8.0) for t in times]
+    m = assert_same_metrics(trace, 8.0)
+    assert m.ss_voltage_error > 0.0
+
+
+def test_metrics_window_grows_a_few_bytes_per_record(step_scenario):
+    """Doubling a dense run adds at most 4 bytes of traced peak per added
+    record: the window keeps 24 bytes for each record of the final tenth."""
+
+    def peak_bytes(t_end):
+        scn = replace(step_scenario, record_every=1, t_end=t_end)
+        tracemalloc.start()
+        try:
+            compute_metrics(simulate(scn), scn.Vref)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_bytes(0.01), peak_bytes(0.02)
+    added = round((0.02 - 0.01) / step_scenario.dt)
+    per_record = (long - short) / added
+    print(f"\n  peak: {short} B at 0.01 s, {long} B at 0.02 s, {per_record:.2f} B per record")
+    assert per_record <= 4.0
 
 
 def test_streamed_metrics_keep_a_fraction_of_the_trace_in_memory(step_scenario):

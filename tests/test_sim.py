@@ -912,6 +912,7 @@ def test_run_rejects_invalid_scenarios(constant_scenario):
          "load schedule times must be strictly increasing"),
         (dict(load_schedule=(LoadStep(0.0, -10.0),)), "load resistance must be positive, got -10.0"),
         (dict(record_every=0), "record_every must be >= 1, got 0"),
+        (dict(record_every=10**4300), "record_every must be below 10**4300"),
     ):
         with pytest.raises(ParameterError, match=f"^{re.escape(message)}$"):
             replace(constant_scenario, **overrides)
