@@ -30,9 +30,9 @@ from .errors import (
     ScenarioFormatError,
 )
 from .metrics import RunMetrics, compute_metrics
-from .plotting import emit_plot_script
+from .scenario import step_count
 from .scenario_io import init_label, load_scenario
-from .sim import simulate, step_count
+from .sim import simulate
 from .trace_csv import CSV_HEADER, trace_csv_rows
 
 EXIT_OK = 0
@@ -120,6 +120,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_plot(args: argparse.Namespace) -> int:
+    from .plotting import emit_plot_script  # only this command needs it
+
     out_path = args.output or str(Path(args.csv).with_suffix(".gp").name)
     try:
         script = emit_plot_script(args.csv)

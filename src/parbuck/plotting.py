@@ -42,7 +42,7 @@ unset multiplot
 
 def read_csv_header(csv_path: str) -> list[str]:
     """First line of the UTF-8 CSV as a list of column names."""
-    with open(csv_path, "r", encoding="utf-8") as fh:
+    with open(csv_path, "r", encoding="utf-8-sig") as fh:
         try:
             header = fh.readline().strip()
         except UnicodeDecodeError as exc:

@@ -10,13 +10,12 @@ canonical document that parses back to an identical Scenario.
 
 from __future__ import annotations
 
-from decimal import Decimal, InvalidOperation
 from importlib import resources
 
 from .control import ControlGains
 from .errors import DegenerateConfigError, ParameterError, ParbuckError, ScenarioFormatError
 from .model import ConverterParams, PlantState, equilibrium
-from .sim import LoadStep, Scenario
+from .scenario import LoadStep, Scenario
 
 BUNDLED_SCENARIOS = ("constant_load", "load_step")
 
@@ -26,6 +25,15 @@ _SIM_KEYS = ("Vref_V", "dt_s", "t_end_s", "record_every", "init")
 _SECTIONS = ("converter1", "converter2", "control", "load", "sim")
 _INIT_LABELS = ("zero", "equilibrium")
 _ZERO = PlantState(0.0, 0.0, 0.0, 0.0)
+
+# The exponents an engineering-unit numeral may write, those of the decimal
+# module's widest context, so that every file reads as a decimal-based reader
+# reads it: the exponent of its first significant digit at most
+# decimal.MAX_EMAX, that of its last written digit at least decimal.MIN_ETINY.
+# Past them a value is out of range, although float() would round it to 0 or
+# inf.
+_MAX_EXPONENT = 10**18 - 1
+_MIN_EXPONENT = -(2 * 10**18 - 3)
 
 
 def _split_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
@@ -102,16 +110,28 @@ def _cadence(table: dict[str, tuple[str, int]], key: str, default: int) -> int |
 
 def _si_number(table: dict[str, tuple[str, int]], key: str, shift: int) -> float:
     """The value of an engineering-unit entry in SI units, 10**-shift times
-    the written number, rounded once from its decimal digits."""
+    the written number, rounded once: the decimal point is moved in the text
+    and float(), which rounds correctly, reads the result."""
     value = _number(table, key)
     text, lineno = table[key]
-    try:
-        sign, digits, exponent = Decimal(text).as_tuple()
-    except InvalidOperation:  # an exponent beyond the decimal module's range
-        raise ScenarioFormatError(f"{text!r} is out of range", key=key, line=lineno) from None
-    if not isinstance(exponent, int):
-        return value  # nan or inf, which ConverterParams rejects
-    return float(Decimal((sign, digits, exponent - shift)))
+    # float() took the text, so every non-ASCII character in it is a digit.
+    numeral = text if text.isascii() else "".join(
+        c if c.isascii() else str(int(c)) for c in text)
+    numeral = numeral.lower().replace("_", "")
+    if numeral.lstrip("+-") in ("nan", "inf", "infinity"):
+        return value  # which ConverterParams rejects
+    mantissa, _, exponent = numeral.partition("e")
+    whole, _, fraction = mantissa.lstrip("+-").partition(".")
+    magnitude = exponent.lstrip("+-").lstrip("0") or "0"
+    # An exponent of more than 20 digits is past both bounds whatever the
+    # digits before it; a shorter one is checked exactly.
+    if len(magnitude) <= 20:
+        power = -int(magnitude) if exponent.startswith("-") else int(magnitude)
+        last = power - len(fraction)  # the exponent of the last written digit
+        first = last + max(len((whole + fraction).lstrip("0")), 1) - 1
+        if first <= _MAX_EXPONENT and last >= _MIN_EXPONENT:
+            return float(f"{mantissa}e{power - shift}")
+    raise ScenarioFormatError(f"{text!r} is out of range", key=key, line=lineno)
 
 
 def _converter(sections, name: str) -> ConverterParams:
@@ -204,6 +224,8 @@ def parse_scenario(text: str) -> Scenario:
 def _engineering(si_value: float, shift: int) -> str:
     """si_value written in units of 10**-shift: the shortest repr of the SI
     value with its decimal point moved, which _si_number reads back exactly."""
+    from decimal import Decimal  # only writing a scenario needs it
+
     sign, digits, exponent = Decimal(repr(si_value)).as_tuple()
     value = Decimal((sign, digits, exponent + shift))
     return f"{value:f}" if -6 <= value.adjusted() < 16 else str(value)
@@ -261,7 +283,7 @@ def format_scenario(scenario: Scenario) -> str:
 
 def load_scenario(path: str) -> Scenario:
     """Read and parse a UTF-8 scenario file from disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

@@ -205,6 +205,31 @@ def test_non_utf8_input_exits_parse(tmp_path, capsys, command):
     assert not list(tmp_path.glob("out*"))
 
 
+def test_validate_accepts_a_byte_order_mark(tmp_path, capsys):
+    """A scenario saved with a UTF-8 byte-order mark, as some editors do,
+    validates as the same file without it."""
+    text = bundled_scenario_text("load_step")
+    plain, marked = tmp_path / "plain.scn", tmp_path / "marked.scn"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["validate", str(plain)]) == EXIT_OK
+    expected = capsys.readouterr().out.replace("plain.scn", "marked.scn")
+    assert main(["validate", str(marked)]) == EXIT_OK
+    assert capsys.readouterr().out == expected
+
+
+def test_plot_accepts_a_byte_order_mark(constant_scn, tmp_path):
+    """A trace CSV that an editor saved with a UTF-8 byte-order mark still
+    names its first column t."""
+    csv_path = tmp_path / "t.csv"
+    assert main(["run", str(constant_scn), "-o", str(csv_path), "--t-end", "0.001"]) == EXIT_OK
+    csv_path.write_bytes(b"\xef\xbb\xbf" + csv_path.read_bytes())
+    script_path = tmp_path / "t.gp"
+    assert main(["plot", str(csv_path), "-o", str(script_path)]) == EXIT_OK
+    assert 'column("t")' in script_path.read_text()
+
+
 def test_validate_counts_the_steps_run_takes(tmp_path, capsys):
     """An event off the dt grid adds a shortened step: 5.5 + 4.5 steps of
     1 us are 6 + 5 steps, not round(t_end/dt) = 10. With a record every step,

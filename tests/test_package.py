@@ -1,0 +1,120 @@
+"""The package itself: its exports, its version and what a command loads."""
+
+import importlib
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+import parbuck
+
+# Every exported name, by the submodule that defines it.
+EXPORTS = {
+    "control": (
+        "ControlGains", "ControlSignals", "controller_step", "coupling_constant",
+        "current_rate_target", "duty_command", "duty_rate_command", "lyapunov_sharing",
+        "lyapunov_voltage", "sharing_error", "virtual_current_target", "voltage_error",
+        "voltage_target",
+    ),
+    "errors": (
+        "CcmViolationError", "CsvFormatError", "DegenerateConfigError", "DivergenceError",
+        "InfeasibleOperatingPointError", "NumericDomainError", "ParameterError",
+        "ParbuckError", "ScenarioFormatError",
+    ),
+    "metrics": ("RunMetrics", "compute_metrics", "lyapunov_violation_fraction"),
+    "model": ("ConverterParams", "PlantDerivative", "PlantState", "equilibrium",
+              "plant_derivatives"),
+    "plotting": ("emit_plot_script",),
+    "scenario": ("CCM_TOL", "MAX_STEPS", "LoadStep", "Scenario", "step_count"),
+    "scenario_io": ("BUNDLED_SCENARIOS", "bundled_scenario_text", "format_scenario",
+                    "load_scenario", "parse_scenario"),
+    "sim": ("TraceRecord", "run", "simulate"),
+    "trace_csv": ("CSV_COLUMNS", "format_trace_csv"),
+}
+EXPORTED = {name for names in EXPORTS.values() for name in names}
+
+
+def _fresh_interpreter(code, *args):
+    """Run code in a new interpreter that imports the package under test,
+    installed or not, and return its stdout."""
+    src = str(Path(parbuck.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    result = subprocess.run(
+        [sys.executable, "-c", textwrap.dedent(code), *args],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+def test_all_lists_every_export():
+    assert sorted(parbuck.__all__) == sorted(EXPORTED)
+
+
+@pytest.mark.parametrize("module, name", [
+    (module, name) for module, names in EXPORTS.items() for name in names
+])
+def test_each_export_is_its_submodules_object(module, name):
+    assert getattr(parbuck, name) is getattr(importlib.import_module(f"parbuck.{module}"), name)
+    assert name in dir(parbuck)
+
+
+def test_star_import_binds_every_export():
+    namespace = {}
+    exec("from parbuck import *", namespace)
+    assert set(namespace) - {"__builtins__"} == EXPORTED
+
+
+def test_an_unknown_name_is_an_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        parbuck.no_such_name
+    from parbuck import modal  # a submodule, not an export
+
+    assert modal is sys.modules["parbuck.modal"]
+
+
+def test_version_is_the_project_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert parbuck.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_loading_a_scenario_loads_no_kernel(tmp_path):
+    """`import parbuck` and load_scenario, a benchmark's set-up and what
+    validate runs, leave the kernel, the metrics, the CSV and plotting code
+    and the decimal module unloaded."""
+    scn = tmp_path / "load_step.scn"
+    scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
+    loaded = _fresh_interpreter("""
+        import sys
+        import parbuck
+        from parbuck.scenario_io import load_scenario
+        load_scenario(sys.argv[1])
+        print(*sorted(sys.modules))
+    """, str(scn)).split()
+    assert "parbuck.scenario_io" in loaded
+    unneeded = ("parbuck.sim", "parbuck.modal", "parbuck.metrics", "parbuck.trace_csv",
+                "parbuck.plotting", "decimal")
+    assert [name for name in unneeded if name in loaded] == []
+
+
+def test_a_run_loads_neither_decimal_nor_plotting(tmp_path):
+    """`python -m parbuck.cli run` on the bundled load step reads its
+    engineering units without the decimal module and loads no plotting."""
+    scn = tmp_path / "load_step.scn"
+    scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
+    loaded = _fresh_interpreter("""
+        import runpy, sys
+        try:
+            runpy.run_module("parbuck.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        print(*sorted(sys.modules))
+    """, "run", str(scn), "-o", str(tmp_path / "trace.csv")).splitlines()[-1].split()
+    assert (tmp_path / "trace.csv").is_file()
+    assert "parbuck.sim" in loaded and "parbuck.metrics" in loaded
+    assert [name for name in ("decimal", "parbuck.plotting") if name in loaded] == []

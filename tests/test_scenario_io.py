@@ -3,6 +3,7 @@
 import math
 import random
 from dataclasses import replace
+from decimal import Decimal, InvalidOperation
 
 import pytest
 from hypothesis import assume, given, settings
@@ -24,7 +25,7 @@ from parbuck import (
     load_scenario,
     parse_scenario,
 )
-from parbuck.scenario_io import init_label
+from parbuck.scenario_io import _si_number, init_label
 
 
 def test_bundled_constant_load_values(constant_scenario):
@@ -99,6 +100,89 @@ def test_any_si_inductance_and_capacitance_can_be_written(constant_scenario, fie
     text = format_scenario(scenario)
     print(f"\n  {[line for line in text.splitlines() if line.startswith(field)][0]}")
     assert parse_scenario(text) == scenario
+
+
+def _decimal_reading(text, shift):
+    """An engineering-unit entry read with the decimal module: the written
+    number's digits and exponent, the exponent lowered by shift, one
+    rounding to float. Returns ("value", repr) or ("error", message)."""
+    try:
+        value = float(text)
+    except ValueError:
+        return "error", str(ScenarioFormatError(f"expected a number, got {text!r}", "L_mH", 7))
+    try:
+        sign, digits, exponent = Decimal(text).as_tuple()
+    except InvalidOperation:  # past the exponents of decimal's widest context
+        return "error", str(ScenarioFormatError(f"{text!r} is out of range", "L_mH", 7))
+    if not isinstance(exponent, int):  # nan or inf
+        return "value", repr(value)
+    try:
+        return "value", repr(float(Decimal((sign, digits, exponent - shift))))
+    except InvalidOperation:
+        # Within that range as written, below it once shifted: 10**-(2e18)
+        # rounds to a zero of the numeral's sign.
+        return "value", repr(-0.0 if sign else 0.0)
+
+
+def _si_reading(text, shift):
+    try:
+        return "value", repr(_si_number({"L_mH": (text, 7)}, "L_mH", shift))
+    except ScenarioFormatError as exc:
+        return "error", str(exc)
+
+
+_EDGE_NUMERALS = (
+    "1.7976931348623157E+311",  # overflows as written, finite in SI units
+    "1e1000000000000000000", "1e" + "9" * 5000, "1e999999999999999999",
+    "1e-1000000000000000000", "0e1000000000000000000", "0.1e1000000000000000000",
+    "123.456e999999999999999997", "123.456e999999999999999998",
+    "1e-1999999999999999997", "-1e-1999999999999999995", "1e-1999999999999999998",
+    "1e" + "0" * 5000 + "3", "1" + "0" * 400 + "e-400", "4.9e-321",
+    "nan", "-inf", "Infinity", "+NaN", "１２.５", "1e３", "+.5", "5.", "1_0.2_5e-1_0", "-0",
+    "0x10", "1__0", "_1", "", "snan", "1e", "e5",
+)
+
+@st.composite
+def _numerals(draw):
+    """Numerals float() reads, with signs, a point on either side, grouping
+    underscores, full-width digits and exponents short, near decimal's
+    bounds and long; or arbitrary short text."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.text(max_size=8))
+
+    def digits(max_size):
+        run = draw(st.text(st.sampled_from("0123456789０９"), min_size=1, max_size=max_size))
+        cut = draw(st.integers(0, len(run) - 1))
+        return run[:cut] + "_" + run[cut:] if cut else run
+
+    form = draw(st.sampled_from(("w", ".f", "w.", "w.f")))
+    mantissa = (digits(8) if "w" in form else "") + ("." if "." in form else "") + (
+        digits(30) if "f" in form else "")
+    exponent = draw(st.one_of(
+        st.just(""),
+        st.integers(0, 400).map(str),
+        st.sampled_from((10**18 - 1, 2 * 10**18 - 3)).flatmap(
+            lambda bound: st.integers(bound - 40, bound + 40)).map(str),
+        st.text(st.sampled_from("0123456789"), min_size=19, max_size=40),
+    ))
+    if exponent:
+        exponent = draw(st.sampled_from("eE")) + draw(st.sampled_from(("", "+", "-"))) + exponent
+    return draw(st.sampled_from(("", "+", "-"))) + mantissa + exponent
+
+
+@pytest.mark.parametrize("shift", [3, 6])
+@pytest.mark.parametrize("text", _EDGE_NUMERALS,
+                         ids=lambda t: repr(t if len(t) < 30 else f"{t[:12]}...({len(t)} chars)"))
+def test_si_numbers_at_the_edges_read_as_with_decimal(text, shift):
+    assert _si_reading(text, shift) == _decimal_reading(text, shift)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_numerals(), st.sampled_from((3, 6)))
+def test_si_numbers_read_as_with_decimal(text, shift):
+    """Moving the decimal point in the text and reading it with float()
+    gives the float, or the error, that the decimal reading gives."""
+    assert _si_reading(text, shift) == _decimal_reading(text, shift)
 
 
 def _mutate(name, pattern, replacement):
