@@ -8,14 +8,18 @@ that none of the n steps leaves that region.
 
 Basis. The interior closed loop u' = A·u + b is linear in u, and M is a
 polynomial in dt·A (RK4's stability polynomial), so the two share their
-invariant subspaces. When A's poles form two complex pairs, the real and
-imaginary parts of one eigenvector of each pair span a real invariant plane;
-V holds the four as columns and W = V^-1. The Faddeev-LeVerrier recursion
-that gives A's characteristic polynomial also gives adj(lambda·I - A); at a
-simple pole lambda it has rank one, and its largest column is taken as
-lambda's eigenvector. In z = W·(u - u_f), where u_f is T's fixed point,
-B = W·M·V is block-diagonal up to rounding, and each diagonal block is a
-2x2 scaled rotation.
+invariant subspaces. The backstepping design names them: in its error
+coordinates (e, i_tilde, e2, v_tilde) = P·u + const, which the kernel's
+control law gives as affine forms, the voltage pair (e, i_tilde) evolves on
+its own and drives the sharing pair (e2, v_tilde), so P·A·P^-1 is block
+lower triangular, [[A_v, 0], [C, A_s]]. Each 2x2 diagonal block gives a
+complex pair of poles by the quadratic formula. The sharing pole's
+eigenvector is (0, 0, s), with s an eigenvector of A_s; the voltage pole
+lambda's is (v, (lambda·I - A_s)^-1·C·v), with v one of A_v. Mapped back by
+P^-1 and scaled to unit 2-norm, the real and imaginary parts of each span a
+real invariant plane of A; V holds the four as columns and W = V^-1. In
+z = W·(u - u_f), where u_f is T's fixed point, B = W·M·V is block-diagonal
+up to rounding, and each diagonal block is a 2x2 scaled rotation.
 
 Certificate. Let rho0 and rho1 be the 2-norms of B's diagonal blocks and eps
 the larger 2-norm of its off-diagonal blocks. If max(rho0, rho1) + eps <= 1,
@@ -67,65 +71,9 @@ def _matmul(a, b):
     return rows
 
 
-def _char_poly(a):
-    """c1..c4 with det(lambda·I - a) = lambda^4 + c1·lambda^3 + c2·lambda^2
-    + c3·lambda + c4, and M2..M4 with adj(lambda·I - a) = lambda^3·I +
-    lambda^2·M2 + lambda·M3 + M4 (Faddeev-LeVerrier)."""
-    coeffs, ms = [], []
-    m = a  # a·M_k, with M_1 = I and M_(k+1) = a·M_k + c_k·I
-    for k in range(1, 5):
-        c = -(m[0][0] + m[1][1] + m[2][2] + m[3][3]) / k
-        coeffs.append(c)
-        if k < 4:
-            m = [list(row) for row in m]
-            for i in range(4):
-                m[i][i] += c
-            ms.append(m)
-            m = _matmul(a, m)
-    return coeffs, ms
-
-
 def _quadratic_roots(a, b, c):
     disc = cmath.sqrt(b * b - 4.0 * a * c)
     return (-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)
-
-
-# For each of four roots, the indices of the other three.
-_OTHERS = ((1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2))
-
-
-def _roots(coeffs):
-    """The four complex roots of the monic quartic, or None if the
-    Durand-Kerner iteration does not settle.
-
-    It starts from the roots of lambda^2 + c1·lambda + c2 and of
-    c2·lambda^2 + c3·lambda + c4, which split the quartic when its two root
-    pairs differ in size; distinct small turns keep the starts apart.
-    """
-    c1, c2, c3, c4 = coeffs
-    if c2 == 0.0 or c4 == 0.0:
-        return None
-    zs = [
-        z * (1.0 + 1e-3j * (i + 1))
-        for i, z in enumerate((*_quadratic_roots(1.0, c1, c2), *_quadratic_roots(c2, c3, c4)))
-    ]
-    for _ in range(100):
-        worst = 0.0
-        for i, (j, k, m) in enumerate(_OTHERS):
-            z = zs[i]
-            # From 1.0, as a running product: 1.0 * w can differ from w in
-            # the sign of a zero part.
-            d = 1.0 * (z - zs[j]) * (z - zs[k]) * (z - zs[m])
-            if d == 0.0:
-                return None
-            dz = ((((z + c1) * z + c2) * z + c3) * z + c4) / d
-            z = zs[i] = z - dz
-            step = abs(dz) / abs(z) if z else math.inf
-            if step > worst:
-                worst = step
-        if worst <= 1e-14:
-            return zs
-    return None
 
 
 def _solve(a, b):
@@ -159,31 +107,51 @@ def _norm2(a, b, c, d):
     return 0.5 * (math.hypot(a + d, b - c) + math.hypot(a - d, b + c))
 
 
-def modal_basis(a):
-    """(poles, V, W) of the 4x4 matrix a: one pole of each complex pair, the
-    smaller first, the real basis V of their invariant planes (columns
-    Re v0, Im v0, Re v1, Im v1 of unit eigenvectors v0, v1) and W = V^-1.
-    None unless the poles are two distinct complex pairs."""
-    coeffs, (m2, m3, m4) = _char_poly(a)
-    roots = _roots(coeffs)
-    if roots is None:
+def _pole(a, b, c, d):
+    """The pole of [[a, b], [c, d]] in the upper half-plane, and its
+    eigenvector (b, lambda - a); None unless the poles are a complex pair."""
+    lam = _quadratic_roots(1.0, -(a + d), a * d - b * c)[0]
+    if not lam.imag > 1e-9 * abs(lam):
         return None
-    upper = sorted((z for z in roots if z.imag > 1e-9 * abs(z)), key=abs)
-    if len(upper) != 2:
+    return lam, b, lam - a
+
+
+def modal_basis(a, p):
+    """(poles, V, W) of the interior matrix a, read off its blocks in the
+    error coordinates whose rows in u are p: the upper pole of the sharing
+    pair, then of the voltage pair, the real basis V of their invariant
+    planes (columns Re v0, Im v0, Re v1, Im v1 of unit eigenvectors v0, v1)
+    and W = V^-1. None when p is singular, when the voltage rows of
+    p·a·p^-1 reach the sharing columns by more than 1e-12 of its largest
+    entry, or unless the poles are two distinct complex pairs."""
+    p_inv = _solve(p, _IDENTITY)
+    if p_inv is None:
         return None
+    blocks = _matmul(_matmul(p, a), p_inv)
+    (v00, v01, u0, u1), (v10, v11, u2, u3), (c00, c01, s00, s01), (c10, c11, s10, s11) = blocks
+    size = max(abs(x) for row in blocks for x in row)
+    sharing, voltage = _pole(s00, s01, s10, s11), _pole(v00, v01, v10, v11)
+    if not max(abs(u0), abs(u1), abs(u2), abs(u3)) <= 1e-12 * size or None in (sharing, voltage):
+        return None
+    lam_s, x2, x3 = sharing
+    lam_v, x0, x1 = voltage
+    # The voltage eigenvector's sharing part w solves (lam_v·I - A_s)·w = C·v;
+    # the matrix is singular when the two blocks share a pole.
+    y0, y1 = c00 * x0 + c01 * x1, c10 * x0 + c11 * x1
+    det = (lam_v - s00) * (lam_v - s11) - s01 * s10
+    if det == 0.0:
+        return None
+    w0, w1 = ((lam_v - s11) * y0 + s01 * y1) / det, (s10 * y0 + (lam_v - s00) * y1) / det
     cols = []
-    for lam in upper:
-        # adj(lam·I - a) by Horner in lam, and its largest column.
-        adj = [
-            [((lam * (i == j) + x2) * lam + x3) * lam + x4 for j, (x2, x3, x4) in enumerate(zip(*rows))]
-            for i, rows in enumerate(zip(m2, m3, m4))
-        ]
-        size, j = max((sum(abs(row[j]) ** 2 for row in adj), j) for j in range(4))
-        if not size > 0.0:
-            return None
-        scale = math.sqrt(size)
-        cols += [[row[j].real / scale for row in adj], [row[j].imag / scale for row in adj]]
-    basis = [list(row) for row in zip(*cols)]
+    for v in ((0.0, 0.0, x2, x3), (x0, x1, w0, w1)):
+        cols += [[x.real for x in v], [x.imag for x in v]]
+    basis = _matmul(p_inv, list(zip(*cols)))
+    # Each eigenvector P^-1·v scaled to unit 2-norm.
+    for j in (0, 2):
+        scale = math.sqrt(sum(row[j] ** 2 + row[j + 1] ** 2 for row in basis))
+        for row in basis:
+            row[j] /= scale
+            row[j + 1] /= scale
     inverse = _solve(basis, _IDENTITY)
     # The certificate's margin covers u - u_f = V·z only to this residual.
     if inverse is None or any(
@@ -192,7 +160,7 @@ def modal_basis(a):
         for x, e in zip(row, unit)
     ):
         return None
-    return tuple(upper), basis, inverse
+    return (lam_s, lam_v), basis, inverse
 
 
 class Jump:
@@ -256,15 +224,16 @@ class Jump:
         return [form.c for form in power]
 
 
-def certify(a, state_map, star, halfspaces, n_max):
+def certify(a, p, state_map, star, halfspaces, n_max):
     """The Jump for one load segment, or None when no certificate holds.
 
-    a is the interior closed-loop matrix in u, state_map the interior RK4
+    a is the interior closed-loop matrix in u, p the rows of the error
+    coordinates (e, i_tilde, e2, v_tilde) in u, state_map the interior RK4
     map as 4 rows (4 linear coefficients, constant), star the expansion
     point x*, and halfspaces the (h, c, bound) triples, h·u + c <= bound,
     that keep a step on that map. n_max bounds the length of any jump.
     """
-    got = modal_basis(a)
+    got = modal_basis(a, p)
     if got is None:
         return None
     poles, basis, inverse = got

@@ -216,7 +216,7 @@ def _compile(scenario: Scenario):
         star = equilibrium(p1, p2, R, Vref)
         s0, s1, s2, s3 = star.iL1, star.iL2, star.Vo, star.d2
         x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, (s0, s1, s2, s3))]
-        raw_d1 = voltage_law(R, *x)[0]
+        raw_d1, e, i_tilde = voltage_law(R, *x)
         # plant_derivatives in each d1 regime, low first, built on first use.
         diL2 = (d2 * Vin2 - Vo) / L2
         dVo = (iL1 + iL2 - Vo / R) / Ctot
@@ -277,10 +277,13 @@ def _compile(scenario: Scenario):
                 ((0.0, 0.0, 0.0, 1.0), s3, 1.0),
                 ((0.0, 0.0, 0.0, -1.0), -s3, 0.0),
             ]
+            # The modal basis comes from the error coordinates, in which the
+            # voltage pair (e, i_tilde) drives the sharing pair (e2, v_tilde).
             # No jump is longer than a segment's full steps, which MAX_STEPS
             # bounds, so a larger cadence needs no larger certificate.
             jump = certify(
                 [row.c[:4] for row in rows],
+                [form.c[:4] for form in (e, i_tilde, *sharing_law(R, *x, raw_d1)[1:])],
                 interior_map, (s0, s1, s2, s3), halfspaces, min(every, MAX_STEPS),
             )
 
