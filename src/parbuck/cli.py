@@ -32,7 +32,7 @@ from .errors import (
 from .metrics import RunMetrics, compute_metrics
 from .scenario import step_count
 from .scenario_io import init_label, load_scenario
-from .sim import simulate
+from .sim import Stretch, stream
 from .trace_csv import CSV_HEADER, trace_csv_rows
 
 EXIT_OK = 0
@@ -84,16 +84,18 @@ def _cmd_run(args: argparse.Namespace) -> int:
     part_path = Path(out_path + ".part")
 
     started = time.perf_counter()
-    records = simulate(scenario)
+    trace = stream(scenario)
     count = 0
 
     def written(fh):
-        """The records, each passed on once its CSV row is written to fh."""
+        """The records and Stretches, each passed on once its CSV text is
+        written to fh; count is the number of rows written."""
         nonlocal count
         fh.write(CSV_HEADER)
-        for count, (record, row) in enumerate(trace_csv_rows(records), start=1):
-            fh.write(row)
-            yield record
+        for item, text in trace_csv_rows(trace):
+            fh.write(text)
+            count += len(item.times) if type(item) is Stretch else 1
+            yield item
 
     try:
         try:

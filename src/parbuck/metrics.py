@@ -5,7 +5,8 @@ trace"; a signal still outside its band at the last sample has no settling
 time. Steady-state errors are means over the final 10% of the trace's time
 span. Every metric is computed in one pass over the records, so a trace can
 be reduced while it is produced, holding only t, e and e2 (24 bytes) of each
-record that may fall in the final tenth, plus up to 1,024 more rows. Lyapunov
+record that may fall in the final tenth, plus up to 1,024 more rows and the
+rest of one Stretch's (records at rest, which come as one item). Lyapunov
 decrease is a reported diagnostic rather than a hard check: the sharing-loop
 energy (e2^2 + v_tilde^2)/2 is guaranteed to decrease only while d1 is
 frozen, and the voltage law moves d1 against d2 (see the parbuck.control
@@ -16,13 +17,13 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import pairwise
+from itertools import pairwise, repeat
 from math import inf
 from struct import Struct
 from typing import Iterable
 
 from .errors import ParbuckError
-from .sim import TraceRecord
+from .sim import Stretch, TraceRecord
 
 _ROW = Struct("3d")  # t, e and e2 of one record in the steady-state window
 
@@ -82,7 +83,7 @@ def lyapunov_violation_fraction(
 
 
 def compute_metrics(
-    trace: Iterable[TraceRecord],
+    trace: Iterable[TraceRecord | Stretch],
     Vref: float,
     band: float = 0.02,
     share_threshold: float = 1e-3,
@@ -90,12 +91,16 @@ def compute_metrics(
 ) -> RunMetrics:
     """Reduce a time-sorted trace to RunMetrics in one pass.
 
-    trace may be any iterable, a generator included. Each record is dropped
-    once seen, except that its t, e and e2 stay as a 24-byte row while it
-    may fall in the final tenth of the time span; rows are pruned every
-    1,024 records. band is the relative voltage tolerance (|Vo - Vref|/Vref),
-    and share_threshold the absolute bound on the per-unit sharing error. A
-    Vref or a time that is not finite, or a Vref <= 0, raises ParbuckError.
+    trace may be any iterable, a generator included, of records and
+    Stretches. A Stretch counts as its records: its first time is reduced
+    as a record is, and the rest at once, since they repeat its fields at
+    later, distinct times. Each record is dropped once seen, except that its
+    t, e and e2 stay as a 24-byte row while it may fall in the final tenth
+    of the time span; a Stretch's rows are appended at once, and rows are
+    pruned after each 1,024 or more. band is the relative voltage tolerance
+    (|Vo - Vref|/Vref), and share_threshold the absolute bound on the
+    per-unit sharing error. A Vref or a time that is not finite, or a Vref
+    <= 0, raises ParbuckError.
     """
     if not 0.0 < Vref < inf:  # also rejects a nan Vref
         raise ParbuckError(f"Vref must be positive and finite, got {Vref!r}")
@@ -118,7 +123,13 @@ def compute_metrics(
     # as _pair_verdict tests it, with t_start = 0.
     first = True
     prev_t = prev_R = prev_V1 = prev_V2 = prev_sat = None
-    for t, _, _, Vo, _, _, _, e, e2, V1, V2, R, sat1, sat2 in trace:
+    for item in trace:
+        if type(item) is Stretch:
+            times, (_, _, Vo, _, _, _, e, e2, V1, V2, R, sat1, sat2) = item
+            t = times[0]
+        else:
+            times = ()
+            t, _, _, Vo, _, _, _, e, e2, V1, V2, R, sat1, sat2 = item
         sat = sat1 or sat2
         if first:
             # Times are sorted, so a finite first and last time bound them all.
@@ -157,6 +168,25 @@ def compute_metrics(
             sat_start = None
 
         rows += pack(t, e, e2)
+        if times:
+            # The Stretch's other k times (k may be 0): the same fields as its
+            # first, each at a later, distinct time, so each is reduced as
+            # that one was.
+            # (Only a nan load, unequal to itself, would make each an event;
+            # an event inside a Stretch moves no metric, so none is noted.)
+            k = len(times) - 1
+            t = prev_t = times[-1]
+            if sat:
+                longest = max(longest, t - sat_start)
+            else:
+                # A pair counts from a nonnegative time on.
+                paired = k - bisect_left(times, 0.0, 0, k)
+                pairs += paired
+                if V1 - V1 > lyap_tol or V2 - V2 > lyap_tol:
+                    violations += paired
+            if settle_v is None:  # the first time was outside the band
+                last_outside_v = t
+            rows += b"".join(map(pack, times[1:], repeat(e), repeat(e2)))
         if len(rows) >= prune_at:
             # The final tenth starts no earlier than it would if this record
             # were the last; the margin covers the rounding of that bound,

@@ -9,14 +9,13 @@ diverges or an inductor current leaves continuous conduction.
 from __future__ import annotations
 
 import math
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 from .control import coupling_constant
 from .errors import CcmViolationError, DivergenceError
 from .model import equilibrium
-# step_count is not used here; the kernel's tests count steps through it.
-from .scenario import CCM_TOL, MAX_STEPS, Scenario, _segments, step_count
+from .scenario import CCM_TOL, MAX_STEPS, Scenario, _segments
 
 # Fewest steps worth a jump: its check and its one map cost about as much as
 # three steps, so a shorter stretch is stepped, and a run recording more
@@ -28,6 +27,11 @@ MIN_JUMP = 4
 # for its checks, however sparse the records. Not below the shipped record
 # cadence of 50, so runs at that cadence check only at their records.
 RECHECK_AFTER = 64
+
+# Most record times in one Stretch. The CSV text of a Stretch's rows is built
+# as one string, so this bounds what a run at rest holds at once: 64 rows of
+# the bundled load step's trace are about 9.5 KiB.
+STRETCH_RECORDS = 64
 
 
 class TraceRecord(NamedTuple):
@@ -51,6 +55,18 @@ class TraceRecord(NamedTuple):
     R_active: float
     sat1: bool
     sat2: bool
+
+
+class Stretch(NamedTuple):
+    """Records at rest: one TraceRecord at each time, all with one body.
+
+    times holds 1 to STRETCH_RECORDS strictly increasing times of one load
+    segment, none of them its end; body holds the 13 fields after t, the
+    very objects that each of these records holds.
+    """
+
+    times: list[float]
+    body: tuple
 
 
 class _Affine:
@@ -175,10 +191,11 @@ def _compile(scenario: Scenario):
     poles are not two complex pairs and when the map is not a certified
     contraction in their modal basis.
 
-    Non-finiteness is checked once per step, on the new state. d2 is checked
-    before it is clamped to [0, 1], since the clamp would absorb an inf;
-    sat2 reports whether the clamp changed it. Raises DivergenceError at
-    t_next naming the first non-finite component.
+    Non-finiteness is checked once per step, on the sum of the new state's
+    components. d2 is checked before it is clamped to [0, 1], since the
+    clamp would absorb an inf; sat2 reports whether the clamp changed it.
+    Raises DivergenceError at t_next naming the first non-finite component
+    of d2, iL1, iL2 and Vo.
     """
     p1, p2, gains = scenario.p1, scenario.p2, scenario.gains
     L1, Vin1, Imax1 = p1.L, p1.Vin, p1.Imax
@@ -220,12 +237,15 @@ def _compile(scenario: Scenario):
         # plant_derivatives in each d1 regime, low first, built on first use.
         diL2 = (d2 * Vin2 - Vo) / L2
         dVo = (iL1 + iL2 - Vo / R) / Ctot
-        fields = [None, None, None]
+        # laws keeps each regime's whole sharing law: the interior one's e2
+        # and v_tilde are the certificate's sharing coordinates.
+        fields, laws = [None, None, None], [None, None, None]
 
         def field(regime):
             if fields[regime] is None:
                 d1 = (duty_min, raw_d1, duty_max)[regime]
-                fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, sharing_law(R, *x, d1)[0])
+                law = laws[regime] = sharing_law(R, *x, d1)
+                fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, law[0])
             return fields[regime]
 
         # The interior regime's four stages of length dt, composed into each
@@ -283,7 +303,7 @@ def _compile(scenario: Scenario):
             # bounds, so a larger cadence needs no larger certificate.
             jump = certify(
                 [row.c[:4] for row in rows],
-                [form.c[:4] for form in (e, i_tilde, *sharing_law(R, *x, raw_d1)[1:])],
+                [form.c[:4] for form in (e, i_tilde, *laws[_INTERIOR][1:])],
                 interior_map, (s0, s1, s2, s3), halfspaces, min(every, MAX_STEPS),
             )
 
@@ -307,10 +327,10 @@ def _compile(scenario: Scenario):
                 # Each stage on the field of the d1 regime its input meets.
                 v0, v1, v2, v3 = _rk4(h, (u0, u1, u2, u3), slope)
                 iL1, iL2, Vo, d2 = s0 + v0, s1 + v1, s2 + v2, s3 + v3
-            if not isfinite(d2):
-                raise DivergenceError(t_next, "d2")
-            if not (isfinite(iL1) and isfinite(iL2) and isfinite(Vo)):
-                for name, value in (("iL1", iL1), ("iL2", iL2), ("Vo", Vo)):
+            # A finite sum has finite terms; a sum of finite terms that
+            # overflows names none of them and raises nothing.
+            if not isfinite(iL1 + iL2 + Vo + d2):
+                for name, value in (("d2", d2), ("iL1", iL1), ("iL2", iL2), ("Vo", Vo)):
                     if not isfinite(value):
                         raise DivergenceError(t_next, name)
             if d2 < 0.0:
@@ -354,8 +374,25 @@ def simulate(scenario: Scenario) -> Iterator[TraceRecord]:
     return _integrate(scenario, _compile(scenario))
 
 
+def stream(scenario: Scenario) -> Iterator[TraceRecord | Stretch]:
+    """simulate(scenario)'s trace with its records at rest as Stretches:
+    expanding each Stretch gives simulate()'s records, in order."""
+    return _stream(scenario, _compile(scenario))
+
+
 def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
-    """The generator simulate() returns: one pass over the segment plan.
+    """The generator simulate() returns: _stream with each Stretch expanded
+    into its records, which share the Stretch's body objects."""
+    for item in _stream(scenario, step_at):
+        if type(item) is Stretch:
+            times, body = item
+            yield from map(tuple.__new__, repeat(TraceRecord), zip(times, *map(repeat, body)))
+        else:
+            yield item
+
+
+def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
+    """One pass over the segment plan, yielding records and Stretches.
 
     Each segment's kernel is built when the run enters it and dropped when
     the run leaves it. At the segment's start and after each record, the run
@@ -370,8 +407,10 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
     fixed point of the step, as a run started at equilibrium does at once:
     the full steps after it, up to where the run would try a jump again or
     the segment's last full step, return the same state and sat2, so they
-    are counted, not taken, and their records share the body after t of one
-    record. The trace is the one that stepping them gives, byte for byte.
+    are counted, not taken. Their records, that step's own included when it
+    is a record step, come as Stretches of up to STRETCH_RECORDS times each,
+    all sharing the body of one record() call; only one Stretch's times are
+    held at once. Expanded, they are the records that stepping gives.
     """
     plan = _segments(scenario)
     first = next(plan)
@@ -427,13 +466,19 @@ def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
                     # -0.0 for 0.0, repr does not), and a full step reads
                     # nothing else that changes, so every full step up to
                     # `stop` returns the same state and sat2: count them at
-                    # once and write each record among them from one body.
+                    # once and pass their records on as Stretches.
                     last = min(stop, n_full)
                     body = record(t_next, iL1, iL2, Vo, d2, sat2)[1:]
-                    for j in range(i + (-steps) % every, last + 1, every):
-                        t_next = seg_end if j == n_sub else seg_start + j * dt
-                        if t_next != seg_end:
-                            yield tuple.__new__(TraceRecord, (t_next, *body))
+                    # The record steps among them; the segment's last step
+                    # ends at seg_end and is recorded by the segment boundary.
+                    record_steps = range(i + (-steps) % every, min(last + 1, n_sub), every)
+                    for c in range(0, len(record_steps), STRETCH_RECORDS):
+                        times = [
+                            t for j in record_steps[c:c + STRETCH_RECORDS]
+                            if (t := seg_start + j * dt) != seg_end
+                        ]
+                        if times:
+                            yield Stretch(times, body)
                     steps += last - i
                     i = last
                     break

@@ -1,9 +1,9 @@
 """Trace-to-CSV export.
 
 Floats are written with repr (shortest round-trip form, decimal point, no
-locale), so identical runs produce byte-identical files. A record whose
-fields after t are the very objects of the previous record's, as those of
-a stationary stretch are, reuses that row's text after t. Otherwise each
+locale), so identical runs produce byte-identical files. The rows of a
+Stretch, records at rest that share one body, are one string: the body's
+text after t is formatted once and joined with each time. Otherwise each
 float column reuses the text of its last value when the new value is a
 float equal to it and nonzero: equal nonzero floats have the same bits. A
 zero (0.0 == -0.0), a nan (never equal) and any value that is not a float
@@ -12,10 +12,9 @@ zero (0.0 == -0.0), a nan (never equal) and any value that is not a float
 
 from __future__ import annotations
 
-from operator import is_
 from typing import Iterable, Iterator
 
-from .sim import TraceRecord
+from .sim import Stretch, TraceRecord
 
 CSV_COLUMNS = (
     "t", "iL1", "iL2", "Vo", "d1", "d2", "d2_dot",
@@ -26,50 +25,54 @@ CSV_COLUMNS = (
 CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 
-def trace_csv_rows(trace: Iterable[TraceRecord]) -> Iterator[tuple[TraceRecord, str]]:
-    """Each record with its CSV row, the row ending in a newline."""
-    # == rejects a new body fast; `is` accepts a repeated one, since equal
-    # floats may differ in the sign of a zero. Records of one load segment
-    # share one resistance object: format it once. Each float column keeps
-    # its last value (the v_ names) and that value's text (the s_ names).
-    body = text = R = R_text = None
+def trace_csv_rows(
+    trace: Iterable[TraceRecord | Stretch],
+) -> Iterator[tuple[TraceRecord | Stretch, str]]:
+    """Each record or Stretch with its CSV text: a record's row, or all of a
+    Stretch's rows as one string, each row ending in a newline."""
+    # Records of one load segment share one resistance object: format it
+    # once. Each float column keeps its last value (the v_ names) and that
+    # value's text (the s_ names), across records and Stretches alike.
+    R = R_text = None
     v_iL1 = v_iL2 = v_Vo = v_d1 = v_d2 = v_d2_dot = v_e = v_e2 = v_V1 = v_V2 = None
     s_iL1 = s_iL2 = s_Vo = s_d1 = s_d2 = s_d2_dot = s_e = s_e2 = s_V1 = s_V2 = None
-    for r in trace:
-        b = r[1:]
-        if b != body or not all(map(is_, b, body)):
-            body = b
-            _, iL1, iL2, Vo, d1, d2, d2_dot, e, e2, V1, V2, R_active, sat1, sat2 = r
-            if R_active is not R:
-                R = R_active
-                R_text = repr(R)
-            if not (iL1 == v_iL1 and iL1 and type(iL1) is float is type(v_iL1)):
-                v_iL1, s_iL1 = iL1, repr(iL1)
-            if not (iL2 == v_iL2 and iL2 and type(iL2) is float is type(v_iL2)):
-                v_iL2, s_iL2 = iL2, repr(iL2)
-            if not (Vo == v_Vo and Vo and type(Vo) is float is type(v_Vo)):
-                v_Vo, s_Vo = Vo, repr(Vo)
-            if not (d1 == v_d1 and d1 and type(d1) is float is type(v_d1)):
-                v_d1, s_d1 = d1, repr(d1)
-            if not (d2 == v_d2 and d2 and type(d2) is float is type(v_d2)):
-                v_d2, s_d2 = d2, repr(d2)
-            if not (d2_dot == v_d2_dot and d2_dot and type(d2_dot) is float is type(v_d2_dot)):
-                v_d2_dot, s_d2_dot = d2_dot, repr(d2_dot)
-            if not (e == v_e and e and type(e) is float is type(v_e)):
-                v_e, s_e = e, repr(e)
-            if not (e2 == v_e2 and e2 and type(e2) is float is type(v_e2)):
-                v_e2, s_e2 = e2, repr(e2)
-            if not (V1 == v_V1 and V1 and type(V1) is float is type(v_V1)):
-                v_V1, s_V1 = V1, repr(V1)
-            if not (V2 == v_V2 and V2 and type(V2) is float is type(v_V2)):
-                v_V2, s_V2 = V2, repr(V2)
-            text = (
-                f",{s_iL1},{s_iL2},{s_Vo},{s_d1},{s_d2},{s_d2_dot},"
-                f"{s_e},{s_e2},{s_V1},{s_V2},{R_text},{int(sat1)},{int(sat2)}\n"
-            )
-        yield r, f"{r.t!r}{text}"
+    for item in trace:
+        stretch = type(item) is Stretch
+        t, iL1, iL2, Vo, d1, d2, d2_dot, e, e2, V1, V2, R_active, sat1, sat2 = (
+            (None, *item.body) if stretch else item
+        )
+        if R_active is not R:
+            R = R_active
+            R_text = repr(R)
+        if not (iL1 == v_iL1 and iL1 and type(iL1) is float is type(v_iL1)):
+            v_iL1, s_iL1 = iL1, repr(iL1)
+        if not (iL2 == v_iL2 and iL2 and type(iL2) is float is type(v_iL2)):
+            v_iL2, s_iL2 = iL2, repr(iL2)
+        if not (Vo == v_Vo and Vo and type(Vo) is float is type(v_Vo)):
+            v_Vo, s_Vo = Vo, repr(Vo)
+        if not (d1 == v_d1 and d1 and type(d1) is float is type(v_d1)):
+            v_d1, s_d1 = d1, repr(d1)
+        if not (d2 == v_d2 and d2 and type(d2) is float is type(v_d2)):
+            v_d2, s_d2 = d2, repr(d2)
+        if not (d2_dot == v_d2_dot and d2_dot and type(d2_dot) is float is type(v_d2_dot)):
+            v_d2_dot, s_d2_dot = d2_dot, repr(d2_dot)
+        if not (e == v_e and e and type(e) is float is type(v_e)):
+            v_e, s_e = e, repr(e)
+        if not (e2 == v_e2 and e2 and type(e2) is float is type(v_e2)):
+            v_e2, s_e2 = e2, repr(e2)
+        if not (V1 == v_V1 and V1 and type(V1) is float is type(v_V1)):
+            v_V1, s_V1 = V1, repr(V1)
+        if not (V2 == v_V2 and V2 and type(V2) is float is type(v_V2)):
+            v_V2, s_V2 = V2, repr(V2)
+        # A record's row; for a Stretch, the text after t, joined with its times.
+        text = (
+            f"{'' if stretch else repr(t)},{s_iL1},{s_iL2},{s_Vo},{s_d1},{s_d2},"
+            f"{s_d2_dot},{s_e},{s_e2},{s_V1},{s_V2},{R_text},{int(sat1)},{int(sat2)}\n"
+        )
+        yield item, text.join(map(repr, item.times)) + text if stretch else text
 
 
-def format_trace_csv(trace: Iterable[TraceRecord]) -> str:
-    """The whole trace as CSV text, header first, one row per record."""
+def format_trace_csv(trace: Iterable[TraceRecord | Stretch]) -> str:
+    """The whole trace as CSV text, header first, one row per record (each
+    time of a Stretch included)."""
     return CSV_HEADER + "".join(row for _, row in trace_csv_rows(trace))

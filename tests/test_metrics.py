@@ -18,7 +18,10 @@ from parbuck import (
     simulate,
 )
 
+from parbuck.sim import STRETCH_RECORDS, Stretch
+
 from multipass_metrics import multipass_metrics, violation_fraction
+from stretches import expanded
 
 
 def make_record(
@@ -244,6 +247,80 @@ def test_one_pass_metrics_equal_the_multipass_oracle(trace, band, threshold, tol
     assert_same_metrics(trace, 8.0, band=band, share_threshold=threshold, lyap_tol=tol)
     assert (lyapunov_violation_fraction(iter(trace), tol, t_start)
             == violation_fraction(trace, tol, t_start))
+
+
+# Per item: a record (size 0) or a Stretch of that many times, time step,
+# load event (< 4), Vo/Vref - 1, e2, V1, V2, saturation.
+_items = st.tuples(
+    st.sampled_from((0, 0, 1, 2, STRETCH_RECORDS)) | st.integers(0, STRETCH_RECORDS),
+    st.sampled_from((0.0, 1e-6, 1e-3)) | _finite(0.0, 0.01),
+    st.integers(0, 15),
+    st.sampled_from((0.0, 0.019, -0.021, 0.3)),
+    st.sampled_from((0.0, 9.99e-4, -1e-3)),
+    st.sampled_from((0.0, 0.25, math.inf, math.nan)) | _finite(0.0, 1.0),
+    st.sampled_from((0.0, 0.25, math.inf, math.nan)) | _finite(0.0, 1.0),
+    st.integers(0, 5),
+)
+
+
+@st.composite
+def streams(draw):
+    """Time-sorted streams of records and Stretches around Vref = 8 V: bodies
+    inside and outside both bands, saturated or not, with infinite and nan
+    loop energies; Stretches of 1 to STRETCH_RECORDS times, first, last and
+    next to load events (some with both sides at one time), a nan load among
+    them; times on both sides of 0, where pairs start to count."""
+    t = draw(st.sampled_from((0.0, -0.02, -1.0, 1e3)) | _finite(-10.0, 10.0))
+    R = 10.0
+    stream, last = [], None
+    for i, (size, dt, event, offset, e2, V1, V2, sat) in enumerate(
+            draw(st.lists(_items, min_size=1, max_size=12))):
+        if i:
+            t += dt
+        if i and event < 4:
+            if event < 2:
+                stream.append(last._replace(t=t))
+            R = (10.0, 15.0, 12.5, math.nan)[event]
+        Vo = 8.0 * (1.0 + offset)
+        body = (0.5, 0.2, Vo, 0.5, 0.5, 0.0, 8.0 - Vo, e2, V1, V2, R, sat == 1, sat == 2)
+        if size:
+            step = draw(st.sampled_from((1e-6, 1e-3)))
+            times = [t + k * step for k in range(size)]
+            assert all(a < b for a, b in zip(times, times[1:]))
+            stream.append(Stretch(times, body))
+            t = times[-1]
+        else:
+            stream.append(TraceRecord(t, *body))
+        last = TraceRecord(t, *body)
+    return stream
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(streams(), st.sampled_from((0.0, 0.02, 0.5)), st.sampled_from((0.0, 1e-3, 1e-2)),
+       st.sampled_from((1e-9, 0.1, -0.1, math.nan)))
+def test_metrics_of_stretches_equal_the_metrics_of_their_records(stream, band, threshold, tol):
+    """A Stretch reduces as its records would, every field equal by repr."""
+    records = list(expanded(stream))
+    kwargs = dict(band=band, share_threshold=threshold, lyap_tol=tol)
+    assert repr(compute_metrics(iter(stream), 8.0, **kwargs)) == \
+        repr(compute_metrics(iter(records), 8.0, **kwargs))
+
+
+def test_long_runs_of_stretches_keep_the_final_tenth():
+    """A window pruned after whole Stretches, rather than after each record,
+    keeps every row of the final tenth: 40 Stretches of 64 times, the
+    voltage outside its band at one stretch in three."""
+    stream = []
+    for k in range(40):
+        times = [1e-3 * (64 * k + i) for i in range(STRETCH_RECORDS)]
+        stream.append(Stretch(times, make_record(0.0, Vo=7.0 if k % 3 == 0 else 8.0,
+                                                 e2=1e-4 * k)[1:]))
+    records = list(expanded(stream))
+    assert len(records) == 2560
+    m = compute_metrics(iter(stream), 8.0)
+    assert repr(m) == repr(compute_metrics(iter(records), 8.0))
+    assert repr(m) == repr(multipass_metrics(records, 8.0))
+    assert m.ss_voltage_error > 0.0
 
 
 @pytest.mark.parametrize("case", [

@@ -12,8 +12,9 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from array import array
 from dataclasses import fields, replace
-from itertools import islice
+from itertools import chain, islice
 from pathlib import Path
 
 import pytest
@@ -45,12 +46,15 @@ from parbuck import (
     simulate,
 )
 from parbuck import modal
+from parbuck.scenario import step_count
 from parbuck.sim import (
-    CCM_TOL, MIN_JUMP, RECHECK_AFTER, _compile, _integrate, _segments, step_count,
+    CCM_TOL, MIN_JUMP, RECHECK_AFTER, STRETCH_RECORDS, Stretch, _compile, _integrate,
+    _segments, stream,
 )
 
 import identities
 import numerics
+from stretches import expanded
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
@@ -931,6 +935,61 @@ def test_stationary_stretches_equal_stepping_every_step(constant_scenario, step_
                 if keep_jumps and rec.t > jumps_agree_until:
                     break
                 assert rec == w and repr(rec) == repr(w), f"t={rec.t}"
+
+
+def _bits(records) -> bytes:
+    """Every field of records as a double, so that equal bytes mean equal
+    reprs (the sign of a zero included)."""
+    return array("d", chain.from_iterable(records)).tobytes()
+
+
+def test_stream_expands_to_simulate(constant_scenario, step_scenario):
+    """stream() yields simulate()'s records, its records at rest grouped in
+    Stretches: expanded, it equals simulate() as tuples and bit for bit. Each
+    Stretch holds 1 to STRETCH_RECORDS strictly increasing times, none of
+    them a segment's end, and simulate() gives its records the Stretch's
+    body objects, one set for them all.
+
+    Cases, recording every step: the bundled load step to 0.06 s and
+    constant_load to 0.02 s, both ending 0.37 steps off the dt grid, and
+    the 10 uH leg of test_stationary_stretches_equal_stepping_every_step,
+    stepped by 1e-21 s and held at d2 = 0 by its clamp, also at cadence 7.
+    The load step is at rest for 49,999 records before its event.
+    """
+    dt = step_scenario.dt
+    rounded_back = replace(
+        constant_scenario, p1=replace(constant_scenario.p1, L=1e-5), dt=1e-21,
+        t_end=1000.37e-21, initial_state=PlantState(2.0, 0.5, 8.0, 0.0),
+    )
+    cases = (
+        replace(step_scenario, record_every=1, t_end=0.06 + 0.37 * dt),
+        replace(constant_scenario, record_every=1, t_end=0.02 + 0.37 * dt),
+        replace(rounded_back, record_every=1), replace(rounded_back, record_every=7),
+    )
+    for k, scn in enumerate(cases):
+        items = list(stream(scn))
+        want = list(simulate(scn))
+        got = list(expanded(items))
+        assert got == want and _bits(got) == _bits(want)
+        ends = {seg.end for seg in _segments(scn)}
+        at = 0  # index in want of each item's first record
+        stretches = 0
+        for item in items:
+            if type(item) is not Stretch:
+                at += 1
+                continue
+            stretches += 1
+            times, body = item
+            assert 1 <= len(times) <= STRETCH_RECORDS and len(body) == 13
+            assert all(a < b for a, b in zip(times, times[1:])) and not ends.intersection(times)
+            block = want[at:at + len(times)]
+            assert [r.t for r in block] == times
+            assert all(a is b for r in block for a, b in zip(r[1:], block[0][1:]))
+            at += len(times)
+        assert at == len(want) and stretches
+        if k == 0:
+            at_rest = sum(len(item.times) for item in items if type(item) is Stretch)
+            assert (at_rest, stretches, len(want)) == (49999, 782, 60003)
 
 
 def test_event_within_rounding_of_start_takes_no_step(step_scenario):

@@ -2,8 +2,14 @@
 
 import math
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from parbuck import TraceRecord
+from parbuck.sim import STRETCH_RECORDS, Stretch
 from parbuck.trace_csv import CSV_COLUMNS, trace_csv_rows
+
+from stretches import expanded
 
 
 def _row(r: TraceRecord) -> str:
@@ -86,3 +92,55 @@ def test_column_text_is_reused_only_for_the_same_bits():
     assert {c[6] for c in columns} == {"0.0", "-0.0"}
     assert {c[8] for c in columns} >= {"inf", "-inf", "nan"}
     assert [c[4] for c in columns[-5:]] == ["1", "1.0", "1.0", "1", "1"]
+
+
+# Column values whose text must not be reused wrongly: both zeros, a nan, an
+# int next to an equal float, and floats that repeat by value in objects of
+# their own.
+_values = st.sampled_from((0.0, -0.0, math.nan, 1, 1.0, 0.5, 8.0, 1e-300)).map(_fresh)
+
+
+@st.composite
+def _streams(draw):
+    """Records and Stretches whose bodies draw each column from _values,
+    some repeating the previous body's objects, with one or two loads."""
+    items, t, body = [], 0.0, None
+    for size in draw(st.lists(st.integers(0, STRETCH_RECORDS), min_size=1, max_size=10)):
+        if body is None or not draw(st.booleans()):
+            body = (*draw(st.lists(_values, min_size=10, max_size=10)),
+                    draw(st.sampled_from((10.0, 15.0))), draw(st.booleans()), draw(st.booleans()))
+        if size:
+            times = [t + 1e-6 * (k + 1) for k in range(size)]
+            items.append(Stretch(times, body))
+            t = times[-1]
+        else:
+            t += 1e-6
+            items.append(TraceRecord(t, *body))
+    return items
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_streams())
+def test_stretch_text_is_the_rows_of_its_records(items):
+    """A Stretch's text is the field-by-field rows of its records, joined,
+    and each record's row after it is unchanged: the column memo carries
+    over a Stretch as over a record. Each item is passed on as it came."""
+    got = list(trace_csv_rows(items))
+    assert all(a is b for (a, _), b in zip(got, items)) and len(got) == len(items)
+    for item, text in got:
+        assert text == "".join(map(_row, expanded([item])))
+    assert "".join(text for _, text in got) == \
+        "".join(row for _, row in trace_csv_rows(expanded(items)))
+
+
+def test_stretch_text_keeps_signed_zeros_nan_and_ints():
+    """Hand-made: a Stretch whose body holds 0.0, -0.0, a nan and an int,
+    between records that hold the other zero, an equal float and a nan."""
+    body = (0.0, -0.0, math.nan, 1, 0.5, 0.0, -0.0, 1e-300, math.nan, 1.0, 10.0, False, True)
+    other = (-0.0, 0.0, math.nan, 1.0, 0.5, -0.0, 0.0, 1e-300, math.nan, 1, 10.0, True, False)
+    items = [TraceRecord(0.0, *other), Stretch([1e-6, 2e-6, 3e-6], body),
+             TraceRecord(4e-6, *other), Stretch([5e-6], other), TraceRecord(6e-6, *body)]
+    got = [text for _, text in trace_csv_rows(items)]
+    assert got == ["".join(map(_row, expanded([item]))) for item in items]
+    assert got[1].count("\n") == 3 and got[1].split("\n")[0].split(",")[1:5] == \
+        ["0.0", "-0.0", "nan", "1"]
