@@ -47,19 +47,6 @@ class RunMetrics:
     max_duty_saturation_time: float
 
 
-def _pair_verdict(a: TraceRecord, b: TraceRecord, lyap_tol: float, t_start: float) -> bool | None:
-    """None when consecutive records a, b form no Lyapunov pair, else whether
-    a loop energy grew by more than lyap_tol between them.
-
-    A pair starts at or after t_start, spans nonzero time (load events
-    duplicate a timestamp to show both resistances; those pairs are
-    re-evaluations, not evolution) and has neither record saturated.
-    """
-    if a.t < t_start or b.t == a.t or a.sat1 or a.sat2 or b.sat1 or b.sat2:
-        return None
-    return b.V1_lyap - a.V1_lyap > lyap_tol or b.V2_lyap - a.V2_lyap > lyap_tol
-
-
 def lyapunov_violation_fraction(
     trace: Iterable[TraceRecord],
     lyap_tol: float = 1e-9,
@@ -68,17 +55,18 @@ def lyapunov_violation_fraction(
     """Fraction of unsaturated sample pairs where a loop energy grew.
 
     Pairs are consecutive records with t >= t_start, neither record
-    saturated, spanning nonzero time. A pair counts as a violation when V1
-    or V2 increased by more than lyap_tol. Returns 0.0 when no pair
-    qualifies.
+    saturated, spanning nonzero time (load events duplicate a timestamp to
+    show both resistances; those pairs are re-evaluations, not evolution).
+    A pair counts as a violation when V1 or V2 increased by more than
+    lyap_tol. Returns 0.0 when no pair qualifies.
     """
     violations = 0
     total = 0
     for a, b in pairwise(trace):
-        verdict = _pair_verdict(a, b, lyap_tol, t_start)
-        if verdict is not None:
-            total += 1
-            violations += verdict
+        if a.t < t_start or b.t == a.t or a.sat1 or a.sat2 or b.sat1 or b.sat2:
+            continue
+        total += 1
+        violations += b.V1_lyap - a.V1_lyap > lyap_tol or b.V2_lyap - a.V2_lyap > lyap_tol
     return violations / total if total else 0.0
 
 
@@ -120,7 +108,7 @@ def compute_metrics(
     prune_at = 1024 * 24
     # Each record is unpacked once. The previous record's t, R, loop
     # energies and saturation are carried forward, and each pair is tested
-    # as _pair_verdict tests it, with t_start = 0.
+    # as lyapunov_violation_fraction tests it, with t_start = 0.
     first = True
     prev_t = prev_R = prev_V1 = prev_V2 = prev_sat = None
     for item in trace:

@@ -71,11 +71,6 @@ def _matmul(a, b):
     return rows
 
 
-def _quadratic_roots(a, b, c):
-    disc = cmath.sqrt(b * b - 4.0 * a * c)
-    return (-b + disc) / (2.0 * a), (-b - disc) / (2.0 * a)
-
-
 def _solve(a, b):
     """x with a·x = b, for 4x4 matrices a and b, by Gauss-Jordan elimination
     with partial pivoting; None if a is singular."""
@@ -110,7 +105,8 @@ def _norm2(a, b, c, d):
 def _pole(a, b, c, d):
     """The pole of [[a, b], [c, d]] in the upper half-plane, and its
     eigenvector (b, lambda - a); None unless the poles are a complex pair."""
-    lam = _quadratic_roots(1.0, -(a + d), a * d - b * c)[0]
+    tr = a + d
+    lam = (tr + cmath.sqrt(tr * tr - 4.0 * (a * d - b * c))) / 2.0
     if not lam.imag > 1e-9 * abs(lam):
         return None
     return lam, b, lam - a

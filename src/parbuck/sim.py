@@ -9,7 +9,7 @@ diverges or an inductor current leaves continuous conduction.
 from __future__ import annotations
 
 import math
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterator, NamedTuple
 
 from .control import coupling_constant
@@ -160,15 +160,17 @@ def _compile(scenario: Scenario):
 
     The control law is written once: controller_step's expression chain,
     split at the d1 clamp, its one non-affine operation, into voltage_law
-    (raw d1, e, i_tilde) and sharing_law (d2_dot, e2, v_tilde for the duty
-    the plant sees). record runs it over floats with the clamp between the
-    halves, so it reproduces controller_step bit for bit.
+    (raw d1, e, i_tilde and the plant's diL2) and sharing_law (d2_dot, e2,
+    v_tilde for the duty the plant sees and the plant's dVo). record runs
+    it over floats with the clamp between the halves, so it reproduces
+    controller_step bit for bit.
 
     At a fixed load, with d1 either interior or clamped at one of its
     bounds, the closed loop is affine in the state. step_at runs the chain
-    with plant_derivatives' slopes over affine forms about x* =
-    equilibrium(p1, p2, R, Vref), giving the field of each d1 regime (a
-    clamped one's when a stage first meets it). One RK4 routine, _rk4,
+    over affine forms about x* = equilibrium(p1, p2, R, Vref), giving the
+    field of each d1 regime (a clamped one's when a stage first meets it):
+    plant_derivatives' diL1 row at that regime's d1, and the diL2, dVo and
+    d2_dot rows that the two laws compute. One RK4 routine, _rk4,
     runs over forms to compose four interior stages of length dt into each
     stage's raw-d1 guard and a 4x5 state map in u = x - x*, and over floats
     to run every step that map cannot take. A full step whose four guards
@@ -210,16 +212,17 @@ def _compile(scenario: Scenario):
     isfinite = math.isfinite
 
     def voltage_law(R, iL1, iL2, Vo, d2):
-        """The raw d1 command, e and i_tilde."""
+        """The raw d1 command, e, i_tilde and the plant's diL2."""
         e = Vref - Vo
         e_dot = (Vo / R - iL1 - iL2) / Ctot
         diL2 = (d2 * Vin2 - Vo) / L2
         i_tilde = Vref / R - iL2 + k1 * e - iL1
         w = -diL2 + i_tilde + e / Ctot + k1 * e_dot
-        return (L1 * w + Vo) / Vin1, e, i_tilde
+        return (L1 * w + Vo) / Vin1, e, i_tilde, diL2
 
     def sharing_law(R, iL1, iL2, Vo, d2, d1):
-        """d2_dot, e2 and v_tilde for the duty d1 the plant sees."""
+        """d2_dot, e2 and v_tilde for the duty d1 the plant sees, and the
+        plant's dVo."""
         e2 = iL1 / Imax1 - iL2 / Imax2
         share1 = d1 * Vin1 / IL1
         share2 = d2 * Vin2 / IL2
@@ -227,25 +230,23 @@ def _compile(scenario: Scenario):
         e2_dot = share1 - share2 + Vo * X
         dVo = (iL1 + iL2 - Vo / R) / Ctot
         d2_dot = IL2_Vin2 * (X * (dVo + X * e2 - v_tilde) + k2 * e2_dot)
-        return d2_dot, e2, v_tilde
+        return d2_dot, e2, v_tilde, dVo
 
     def step_at(R: float):
         star = equilibrium(p1, p2, R, Vref)
         s0, s1, s2, s3 = star.iL1, star.iL2, star.Vo, star.d2
         x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, (s0, s1, s2, s3))]
-        raw_d1, e, i_tilde = voltage_law(R, *x)
-        # plant_derivatives in each d1 regime, low first, built on first use.
-        diL2 = (d2 * Vin2 - Vo) / L2
-        dVo = (iL1 + iL2 - Vo / R) / Ctot
-        # laws keeps each regime's whole sharing law: the interior one's e2
-        # and v_tilde are the certificate's sharing coordinates.
+        raw_d1, e, i_tilde, diL2 = voltage_law(R, *x)
+        # The field of each d1 regime, low first, built on first use. laws
+        # keeps each regime's whole sharing law: the interior one's e2 and
+        # v_tilde are the certificate's sharing coordinates.
         fields, laws = [None, None, None], [None, None, None]
 
         def field(regime):
             if fields[regime] is None:
                 d1 = (duty_min, raw_d1, duty_max)[regime]
-                law = laws[regime] = sharing_law(R, *x, d1)
-                fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, law[0])
+                d2_dot, _, _, dVo = laws[regime] = sharing_law(R, *x, d1)
+                fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot)
             return fields[regime]
 
         # The interior regime's four stages of length dt, composed into each
@@ -303,7 +304,7 @@ def _compile(scenario: Scenario):
             # bounds, so a larger cadence needs no larger certificate.
             jump = certify(
                 [row.c[:4] for row in rows],
-                [form.c[:4] for form in (e, i_tilde, *laws[_INTERIOR][1:])],
+                [form.c[:4] for form in (e, i_tilde, *laws[_INTERIOR][1:3])],
                 interior_map, (s0, s1, s2, s3), halfspaces, min(every, MAX_STEPS),
             )
 
@@ -340,13 +341,13 @@ def _compile(scenario: Scenario):
             return iL1, iL2, Vo, d2, False
 
         def record(t, iL1, iL2, Vo, d2, sat2):
-            raw, e, i_tilde = voltage_law(R, iL1, iL2, Vo, d2)
+            raw, e, i_tilde, _ = voltage_law(R, iL1, iL2, Vo, d2)
             d1 = raw
             if duty_min > d1:
                 d1 = duty_min
             if duty_max < d1:
                 d1 = duty_max
-            d2_dot, e2, v_tilde = sharing_law(R, iL1, iL2, Vo, d2, d1)
+            d2_dot, e2, v_tilde, _ = sharing_law(R, iL1, iL2, Vo, d2, d1)
             # tuple.__new__ skips the Python-level __new__ that NamedTuple
             # generates, which only packs its arguments into this tuple.
             return tuple.__new__(TraceRecord, (
@@ -362,16 +363,23 @@ def _compile(scenario: Scenario):
 
 
 def simulate(scenario: Scenario) -> Iterator[TraceRecord]:
-    """Compile the scenario and return an iterator over its trace.
+    """The trace of the scenario, compiled on the first iteration.
 
     The iterator integrates from t=0 to t_end as it is consumed and yields
     the initial sample, every record_every-th step, both sides of every load
     event (same time and state, old and new resistance) and the final
-    sample; a consumer that drops each record runs in constant memory.
-    Iterating fails fast with DivergenceError on a non-finite state or
-    CcmViolationError when an inductor current drops below -CCM_TOL.
+    sample; a consumer that drops each record runs in constant memory. It
+    is stream(scenario) with each Stretch expanded into its records, which
+    share the Stretch's body objects. Iterating fails fast with
+    DivergenceError on a non-finite state or CcmViolationError when an
+    inductor current drops below -CCM_TOL.
     """
-    return _integrate(scenario, _compile(scenario))
+    for item in stream(scenario):
+        if type(item) is Stretch:
+            times, body = item
+            yield from map(tuple.__new__, repeat(TraceRecord), zip(times, *map(repeat, body)))
+        else:
+            yield item
 
 
 def stream(scenario: Scenario) -> Iterator[TraceRecord | Stretch]:
@@ -380,28 +388,20 @@ def stream(scenario: Scenario) -> Iterator[TraceRecord | Stretch]:
     return _stream(scenario, _compile(scenario))
 
 
-def _integrate(scenario: Scenario, step_at) -> Iterator[TraceRecord]:
-    """The generator simulate() returns: _stream with each Stretch expanded
-    into its records, which share the Stretch's body objects."""
-    for item in _stream(scenario, step_at):
-        if type(item) is Stretch:
-            times, body = item
-            yield from map(tuple.__new__, repeat(TraceRecord), zip(times, *map(repeat, body)))
-        else:
-            yield item
-
-
 def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
     """One pass over the segment plan, yielding records and Stretches.
 
-    Each segment's kernel is built when the run enters it and dropped when
-    the run leaves it. At the segment's start and after each record, the run
-    tries to jump to the next record step or to the segment's last full
-    step, whichever comes first; where the jump's certificate fails, it
-    steps to the next record step, or RECHECK_AFTER steps if that comes
-    first, and tries again. Remainder steps and stretches shorter than
-    MIN_JUMP steps are always stepped, so a run that records more often
-    than every MIN_JUMP steps takes no jump.
+    Every segment, the first one included, is entered the same way: its
+    kernel is built and its start recorded before its first step, and the
+    kernel is dropped when the run leaves it. Only a run to t = 0 has a
+    segment of no length; it yields that one record and stops. At the
+    segment's start and after each record, the run tries to jump to the
+    next record step or to the segment's last full step, whichever comes
+    first; where the jump's certificate fails, it steps to the next record
+    step, or RECHECK_AFTER steps if that comes first, and tries again.
+    Remainder steps and stretches shorter than MIN_JUMP steps are always
+    stepped, so a run that records more often than every MIN_JUMP steps
+    takes no jump.
 
     A stepped full step that returns its input bit for bit has reached a
     fixed point of the step, as a run started at equilibrium does at once:
@@ -412,24 +412,19 @@ def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
     all sharing the body of one record() call; only one Stretch's times are
     held at once. Expanded, they are the records that stepping gives.
     """
-    plan = _segments(scenario)
-    first = next(plan)
     state = scenario.initial_state
     iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
-    step, record, jump = step_at(first.R)
-    yield record(0.0, iL1, iL2, Vo, d2, False)
-    if scenario.t_end == 0.0:
-        return
-
     dt, every = scenario.dt, scenario.record_every
     ccm_floor = -CCM_TOL
     sat2 = False
     steps = 0
-    for k, (seg_start, seg_end, R, n_full, remainder) in enumerate(chain((first,), plan)):
-        if k:
-            # The far side of a load event: same time and state, new load.
-            step, record, jump = step_at(R)
-            yield record(seg_start, iL1, iL2, Vo, d2, sat2)
+    for seg_start, seg_end, R, n_full, remainder in _segments(scenario):
+        # The run's start, or the far side of a load event: same time and
+        # state, new load.
+        step, record, jump = step_at(R)
+        yield record(seg_start, iL1, iL2, Vo, d2, sat2)
+        if seg_end == seg_start:
+            return
         n_sub = n_full + (remainder > 0.0)
         i = 0
         while i < n_sub:

@@ -121,17 +121,19 @@ def test_a_run_loads_neither_decimal_nor_plotting(tmp_path):
     assert [name for name in ("decimal", "parbuck.plotting") if name in loaded] == []
 
 
-def test_sim_stays_below_the_parsers_token_step():
-    """src/parbuck/sim.py stays below 4,096 parser tokens, counted as the
+@pytest.mark.parametrize("module", ["sim.py", "modal.py"])
+def test_sim_stays_below_the_parsers_token_step(module):
+    """src/parbuck/sim.py, and modal.py, which a jumping run parses at its
+    first segment, each stay below 4,096 parser tokens, counted as the
     tokenize tokens other than comments and blank-line newlines. A run with
-    no bytecode cache (PYTHONDONTWRITEBYTECODE=1) parses sim.py, and its
-    peak RSS steps up by about 0.1 MiB past that count, where CPython's
-    parser grows its token array."""
-    source = Path(parbuck.__file__).with_name("sim.py")
+    no bytecode cache (PYTHONDONTWRITEBYTECODE=1) parses both, and its peak
+    RSS steps up by about 0.1 MiB past that count, where CPython's parser
+    grows its token array."""
+    source = Path(parbuck.__file__).with_name(module)
     with tokenize.open(source) as fh:
         count = sum(
             tok.type not in (tokenize.COMMENT, tokenize.NL)
             for tok in tokenize.generate_tokens(fh.readline)
         )
-    print(f"\n  sim.py: {count} parser tokens")
+    print(f"\n  {module}: {count} parser tokens")
     assert count < 4096

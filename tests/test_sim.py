@@ -48,8 +48,8 @@ from parbuck import (
 from parbuck import modal
 from parbuck.scenario import step_count
 from parbuck.sim import (
-    CCM_TOL, MIN_JUMP, RECHECK_AFTER, STRETCH_RECORDS, Stretch, _compile, _integrate,
-    _segments, stream,
+    CCM_TOL, MIN_JUMP, RECHECK_AFTER, STRETCH_RECORDS, Stretch, _compile, _segments,
+    _stream, stream,
 )
 
 import identities
@@ -522,7 +522,7 @@ def _count_steps(scenario):
 
         return counted, record, jump
 
-    records = sum(1 for _ in _integrate(scenario, counting_step_at))
+    records = sum(1 for _ in expanded(_stream(scenario, counting_step_at)))
     return records, stepped
 
 
@@ -618,8 +618,18 @@ def test_closed_loop_richardson_fourth_order(constant_scenario):
 
 
 def test_kernel_step_divergence_names_time_and_component(constant_scenario):
-    """An overflow raises DivergenceError naming the component and the end
-    time of the step that overflowed, as passed to the kernel."""
+    """An overflow raises DivergenceError naming the end time of the step
+    that overflowed, as passed to the kernel, and its first non-finite
+    component in the order d2, iL1, iL2, Vo.
+
+    Three steps pin that order. From equilibrium with Vo 1e-6 off, the first
+    1e100 s step overflows all four: d2. From Vo = 1e278, a 2e4 s step
+    overflows iL1, iL2 and Vo but not d2: iL1. From d2 = 1e304, a 1e-5 s
+    step overflows iL2 and Vo only: iL2. No run feeds a step a d2 outside
+    [0, 1], since each step clamps it; among 600,000 random states with d2
+    in [0, 1] and currents >= 0, at step lengths up to 1e6 s, none gave a
+    step that overflows iL2 and Vo but not iL1.
+    """
     eq = equilibrium(constant_scenario.p1, constant_scenario.p2, 10.0, 8.0)
     step = _compile(constant_scenario)(10.0)[0]
     dt = 1e100
@@ -629,8 +639,15 @@ def test_kernel_step_divergence_names_time_and_component(constant_scenario):
             t_next = i * dt
             *state, _ = step(t_next, dt, *state)
     print(f"\n  {err.value}")
-    assert err.value.component in ("iL1", "iL2", "Vo", "d2")
-    assert err.value.t == t_next
+    assert err.value.component == "d2"
+    assert err.value.t == t_next == dt
+    for state, h, name in (
+        ((eq.iL1, eq.iL2, 1e278, eq.d2), 2e4, "iL1"),
+        ((eq.iL1, eq.iL2, eq.Vo, 1e304), 1e-5, "iL2"),
+    ):
+        with pytest.raises(DivergenceError) as err:
+            step(1.0, h, *state)
+        assert (err.value.component, err.value.t) == (name, 1.0)
 
 
 # sha256 of the two bundled-load-step CSVs, so that any change to the
@@ -927,7 +944,7 @@ def test_stationary_stretches_equal_stepping_every_step(constant_scenario, step_
 
                 return logged, record, jump if keep_jumps else None
 
-            got = list(_integrate(scn, logging_step_at))
+            got = list(expanded(_stream(scn, logging_step_at)))
             assert len(got) == len(want)
             assert [t for t, h in calls if h != scn.dt] == [scn.t_end]
             assert (len(calls) == 2) is stationary
@@ -935,6 +952,48 @@ def test_stationary_stretches_equal_stepping_every_step(constant_scenario, step_
                 if keep_jumps and rec.t > jumps_agree_until:
                     break
                 assert rec == w and repr(rec) == repr(w), f"t={rec.t}"
+
+
+def test_a_record_step_at_a_segment_end_is_recorded_once(constant_scenario):
+    """A record step whose time rounds onto its segment's end is left to the
+    segment boundary, on the jump path and on the Stretch path.
+
+    The case: constant_load at equilibrium under 10 ohm throughout, with an
+    event at 16 s, t_end = 16.000005 s and a record every 16,000,005 steps.
+    The second segment's fifth full step is a record step, 16.0 + 5·dt
+    rounds onto its end, and a shortened step of 1.59e-15 s follows. The
+    kernel jumps both segments' full steps and steps only the shortened
+    one. A stub kernel whose step returns its input and that has no jump
+    counts the first segment's 16,000,000 steps at once instead, and the
+    second segment's record step falls in its stationary stretch. Both give
+    four records, t_end once, and no Stretch.
+    """
+    scn = replace(
+        constant_scenario, load_schedule=(LoadStep(0.0, 10.0), LoadStep(16.0, 10.0)),
+        t_end=16.000005, record_every=16_000_005,
+    )
+    _, (start, end, _, n_full, remainder) = _segments(scn)
+    assert (start, end, n_full) == (16.0, scn.t_end, 5)
+    assert start + n_full * scn.dt == end and remainder > scn.dt * 1e-9
+    times = [0.0, 16.0, 16.0, scn.t_end]
+    assert [r.t for r in run(scn)] == times
+    assert _count_steps(scn) == (4, 1)
+
+    step_at = _compile(scn)
+    calls = []
+
+    def resting_step_at(R):
+        def step(t_next, h, *x):
+            calls.append(t_next)
+            return (*x, False)
+
+        return step, step_at(R)[1], None
+
+    items = list(_stream(scn, resting_step_at))
+    assert [type(item) for item in items] == [TraceRecord] * 4
+    assert [r.t for r in items] == times
+    # One step at the start of each stationary stretch, and the shortened one.
+    assert calls == [scn.dt, 16.0 + scn.dt, scn.t_end]
 
 
 def _bits(records) -> bytes:
