@@ -9,6 +9,7 @@ diverges or an inductor current leaves continuous conduction.
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
@@ -92,16 +93,16 @@ class _Affine:
 
     __radd__ = __add__
 
+    # -b is b * -1.0, the sign of a zero included, and a - b is a + -b,
+    # exactly in IEEE arithmetic.
     def __neg__(self):
-        a0, a1, a2, a3, a4 = self.c
-        return _Affine((-a0, -a1, -a2, -a3, -a4))
+        return self * -1.0
 
-    # a - b is a + (-b) exactly in IEEE arithmetic.
     def __sub__(self, other):
-        return self + -other
+        return self + other * -1.0
 
     def __rsub__(self, other):
-        return -self + other
+        return self * -1.0 + other
 
     def __mul__(self, k):
         a0, a1, a2, a3, a4 = self.c
@@ -240,7 +241,7 @@ def _compile(scenario: Scenario):
         # The field of each d1 regime, low first, built on first use. laws
         # keeps each regime's whole sharing law: the interior one's e2 and
         # v_tilde are the certificate's sharing coordinates.
-        fields, laws = [None, None, None], [None, None, None]
+        fields, laws = [None] * 3, [None] * 3
 
         def field(regime):
             if fields[regime] is None:
@@ -342,11 +343,7 @@ def _compile(scenario: Scenario):
 
         def record(t, iL1, iL2, Vo, d2, sat2):
             raw, e, i_tilde, _ = voltage_law(R, iL1, iL2, Vo, d2)
-            d1 = raw
-            if duty_min > d1:
-                d1 = duty_min
-            if duty_max < d1:
-                d1 = duty_max
+            d1 = duty_min if duty_min > raw else duty_max if duty_max < raw else raw
             d2_dot, e2, v_tilde, _ = sharing_law(R, iL1, iL2, Vo, d2, d1)
             # tuple.__new__ skips the Python-level __new__ that NamedTuple
             # generates, which only packs its arguments into this tuple.
@@ -406,18 +403,21 @@ def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
     A stepped full step that returns its input bit for bit has reached a
     fixed point of the step, as a run started at equilibrium does at once:
     the full steps after it, up to where the run would try a jump again or
-    the segment's last full step, return the same state and sat2, so they
-    are counted, not taken. Their records, that step's own included when it
-    is a record step, come as Stretches of up to STRETCH_RECORDS times each,
-    all sharing the body of one record() call; only one Stretch's times are
-    held at once. Expanded, they are the records that stepping gives.
+    the segment's last full step, return the same state and sat2. A jump of
+    one whole record interval that returns its input bit for bit has
+    reached a fixed point of that jump, and a jump reads only its length
+    and the state: every whole interval after it, up to the segment's last
+    full step, returns the same state with sat2 unset. Such steps are
+    counted, not taken. Their records, that step's or jump's own included
+    when it ends on a record step, come as Stretches of up to
+    STRETCH_RECORDS times each, all sharing the body of one record() call;
+    only one Stretch's times are held at once. Expanded, they are the
+    records that taking each step and jump gives.
     """
-    state = scenario.initial_state
-    iL1, iL2, Vo, d2 = state.iL1, state.iL2, state.Vo, state.d2
+    iL1, iL2, Vo, d2 = astuple(scenario.initial_state)
     dt, every = scenario.dt, scenario.record_every
     ccm_floor = -CCM_TOL
-    sat2 = False
-    steps = 0
+    sat2, steps = False, 0
     for seg_start, seg_end, R, n_full, remainder in _segments(scenario):
         # The run's start, or the far side of a load event: same time and
         # state, new load.
@@ -428,57 +428,67 @@ def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
         n_sub = n_full + (remainder > 0.0)
         i = 0
         while i < n_sub:
-            stop = n_sub
+            stop, last = n_sub, None
             if jump is not None:
                 # Up to the next record step, but never past the last full step.
                 to_record = every - steps % every
                 n = min(to_record, n_full - i)
-                got = jump(n, iL1, iL2, Vo, d2) if n >= MIN_JUMP else None
+                x = iL1, iL2, Vo, d2
+                got = jump(n, *x) if n >= MIN_JUMP else None
                 if got is not None:
                     iL1, iL2, Vo, d2 = got
                     sat2 = False
                     i += n
                     steps += n
                     t_next = seg_end if i == n_sub else seg_start + i * dt
+                    if n < every or got != x or repr(got) != repr(x):
+                        if steps % every == 0 and t_next != seg_end:
+                            yield record(t_next, iL1, iL2, Vo, d2, sat2)
+                        continue
+                    # A whole record interval returned its input bit for bit,
+                    # and a jump reads only n and the state, so every whole
+                    # interval up to the last full step returns it too.
+                    last = i + (n_full - i) // every * every
+                else:
+                    stop = min(i + min(to_record, RECHECK_AFTER), n_sub)
+            if last is None:
+                for i in range(i + 1, stop + 1):
+                    h = dt if i <= n_full else remainder
+                    t_next = seg_end if i == n_sub else seg_start + i * dt
+                    x0, x1, x2, x3 = iL1, iL2, Vo, d2
+                    iL1, iL2, Vo, d2, sat2 = step(t_next, h, iL1, iL2, Vo, d2)
+                    steps += 1
+                    if iL1 < ccm_floor or iL2 < ccm_floor:
+                        name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
+                        raise CcmViolationError(t_next, name, value)
+                    if (
+                        iL1 == x0 and i < n_full
+                        and repr((iL1, iL2, Vo, d2)) == repr((x0, x1, x2, x3))
+                    ):
+                        # A full step returned its input bit for bit (repr
+                        # tells -0.0 from 0.0, == does not), and a full step
+                        # reads nothing else that changes, so every full step
+                        # up to `stop` returns the same state and sat2.
+                        last = min(stop, n_full)
+                        break
                     if steps % every == 0 and t_next != seg_end:
                         yield record(t_next, iL1, iL2, Vo, d2, sat2)
+                else:
                     continue
-                stop = min(i + min(to_record, RECHECK_AFTER), n_sub)
-            for i in range(i + 1, stop + 1):
-                h = dt if i <= n_full else remainder
-                t_next = seg_end if i == n_sub else seg_start + i * dt
-                x0, x1, x2, x3 = iL1, iL2, Vo, d2
-                iL1, iL2, Vo, d2, sat2 = step(t_next, h, iL1, iL2, Vo, d2)
-                steps += 1
-                if iL1 < ccm_floor or iL2 < ccm_floor:
-                    name, value = ("iL1", iL1) if iL1 < ccm_floor else ("iL2", iL2)
-                    raise CcmViolationError(t_next, name, value)
-                if (
-                    iL1 == x0 and iL2 == x1 and Vo == x2 and d2 == x3 and i < n_full
-                    and repr((iL1, iL2, Vo, d2)) == repr((x0, x1, x2, x3))
-                ):
-                    # A full step returned its input bit for bit (== takes
-                    # -0.0 for 0.0, repr does not), and a full step reads
-                    # nothing else that changes, so every full step up to
-                    # `stop` returns the same state and sat2: count them at
-                    # once and pass their records on as Stretches.
-                    last = min(stop, n_full)
-                    body = record(t_next, iL1, iL2, Vo, d2, sat2)[1:]
-                    # The record steps among them; the segment's last step
-                    # ends at seg_end and is recorded by the segment boundary.
-                    record_steps = range(i + (-steps) % every, min(last + 1, n_sub), every)
-                    for c in range(0, len(record_steps), STRETCH_RECORDS):
-                        times = [
-                            t for j in record_steps[c:c + STRETCH_RECORDS]
-                            if (t := seg_start + j * dt) != seg_end
-                        ]
-                        if times:
-                            yield Stretch(times, body)
-                    steps += last - i
-                    i = last
-                    break
-                if steps % every == 0 and t_next != seg_end:
-                    yield record(t_next, iL1, iL2, Vo, d2, sat2)
+            # The steps up to `last` are at rest: count them at once and pass
+            # their records on as Stretches of one body. The segment's last
+            # step ends at seg_end and is recorded by the segment boundary.
+            body = record(t_next, iL1, iL2, Vo, d2, sat2)[1:]
+            record_steps = range(i + (-steps) % every, min(last + 1, n_sub), every)
+            for c in range(0, len(record_steps), STRETCH_RECORDS):
+                times = [
+                    t for j in record_steps[c:c + STRETCH_RECORDS]
+                    if (t := seg_start + j * dt) != seg_end
+                ]
+                if times:
+                    yield Stretch(times, body)
+            steps += last - i
+            i = last
         # Segment boundary: the near side of a load event, or t_end.
         yield record(seg_end, iL1, iL2, Vo, d2, sat2)
 

@@ -16,6 +16,7 @@ from array import array
 from dataclasses import fields, replace
 from itertools import chain, islice
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings
@@ -54,7 +55,7 @@ from parbuck.sim import (
 
 import identities
 import numerics
-from stretches import expanded
+from stretches import counting, expanded
 
 BENCH_REFERENCE = Path(__file__).resolve().parents[1] / "bench" / "reference"
 
@@ -507,37 +508,60 @@ def test_jump_certificate_is_sound(step_scenario):
     assert drawn >= 500
 
 
-def _count_steps(scenario):
-    """(records, steps taken one at a time) of draining simulate()'s run."""
-    step_at = _compile(scenario)
-    stepped = 0
+class Counts(NamedTuple):
+    """What draining simulate()'s run takes: its records, its steps taken
+    one at a time, its jump calls, the steps its accepted jumps cover, and
+    its Stretches."""
 
-    def counting_step_at(R):
-        step, record, jump = step_at(R)
-
-        def counted(*args):
-            nonlocal stepped
-            stepped += 1
-            return step(*args)
-
-        return counted, record, jump
-
-    records = sum(1 for _ in expanded(_stream(scenario, counting_step_at)))
-    return records, stepped
+    records: int
+    stepped: int
+    jumps: int
+    jumped: int
+    stretches: list
 
 
-def test_bundled_load_step_jumps_almost_every_step(step_scenario):
-    """On the bundled load step, accepted jumps cover at least 99% of the
-    steps; a run recording more often than every MIN_JUMP steps builds no
-    jump. With a record at every step, a run from equilibrium steps one
-    step of a stretch at a fixed point and counts the rest, and a run from
-    a state off it steps every step: 1 of 1,000 steps over 1 ms from
-    equilibrium, all 1,000 from Vo*0.999, and 50,001 of the bundled load
-    step's 100,000, one before its event and all 50,000 after it."""
-    records, stepped = _count_steps(step_scenario)
+def _count_steps(scenario) -> Counts:
+    """The Counts of draining simulate()'s run."""
+    step_at, calls = counting(_compile(scenario))
+    records, stretches = 0, []
+    for item in _stream(scenario, step_at):
+        if type(item) is Stretch:
+            records += len(item.times)
+            stretches.append(item)
+        else:
+            records += 1
+    return Counts(records, calls["step"], calls["jump"], calls["jumped"], stretches)
+
+
+def test_bundled_load_step_jumps_almost_every_step(step_scenario, constant_scenario):
+    """On the bundled load step, accepted jumps and the whole record
+    intervals counted at rest after a jump cover at least 99% of the steps;
+    a run recording more often than every MIN_JUMP steps builds no jump.
+
+    The load step starts at equilibrium, so its first jump, one whole
+    record interval, returns its input bit for bit: the 49,950 steps after
+    it, up to the event, are counted at rest, and their 999 records come as
+    16 Stretches. After the event the run steps 50 steps and jumps the
+    rest: 1,001 jump calls in all, 50,000 jumped steps and 50 stepped, and
+    still 2,002 records. constant_load makes one jump call and counts the
+    rest of its run.
+
+    With a record at every step, a run from equilibrium steps one step of
+    a stretch at a fixed point and counts the rest, and a run from a state
+    off it steps every step: 1 of 1,000 steps over 1 ms from equilibrium,
+    all 1,000 from Vo*0.999, and 50,001 of the bundled load step's
+    100,000, one before its event and all 50,000 after it."""
+    counts = _count_steps(step_scenario)
     total = step_count(step_scenario)
-    print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
-    assert records == 2002 and total - stepped >= 0.99 * total
+    at_rest = total - counts.stepped - counts.jumped
+    print(f"\n  {counts.jumped} of {total} steps jumped, {at_rest} counted at rest, "
+          f"{counts.stepped} stepped; {counts.jumps} jump calls, {counts.records} records, "
+          f"{len(counts.stretches)} Stretches")
+    assert counts.records == 2002 and total - counts.stepped >= 0.99 * total
+    assert (counts.stepped, counts.jumps, counts.jumped) == (50, 1001, 50000)
+    assert len(counts.stretches) == 16
+    assert all(t < 0.05 for stretch in counts.stretches for t in stretch.times)
+    assert _count_steps(constant_scenario)[:4] == (2001, 0, 1, 50)
     for every in range(1, MIN_JUMP + 1):
         jump = _compile(replace(step_scenario, record_every=every))(10.0)[2]
         assert (jump is None) == (every < MIN_JUMP)
@@ -545,9 +569,9 @@ def test_bundled_load_step_jumps_almost_every_step(step_scenario):
     start = dense.initial_state
     off = replace(dense, initial_state=replace(start, Vo=start.Vo * 0.999))
     assert step_count(dense) == 1000
-    assert _count_steps(dense) == (1001, 1)
-    assert _count_steps(off) == (1001, 1000)
-    assert _count_steps(replace(step_scenario, record_every=1)) == (100002, 50001)
+    assert _count_steps(dense)[:3] == (1001, 1, 0)
+    assert _count_steps(off)[:3] == (1001, 1000, 0)
+    assert _count_steps(replace(step_scenario, record_every=1))[:3] == (100002, 50001, 0)
 
 
 def test_modal_is_imported_only_by_a_run_that_can_jump():
@@ -589,7 +613,7 @@ def test_sparse_records_keep_their_jumps(step_scenario, step_trace, every):
     RECHECK_AFTER, so it checks only at its records."""
     assert RECHECK_AFTER >= step_scenario.record_every
     sparse = replace(step_scenario, record_every=every)
-    records, stepped = _count_steps(sparse)
+    records, stepped, *_ = _count_steps(sparse)
     total = step_count(sparse)
     print(f"\n  {total - stepped} of {total} steps jumped, {records} records")
     assert records == 4 and total - stepped >= 0.99 * total
@@ -707,6 +731,38 @@ def test_bundled_jump_certificates_are_pinned(step_scenario):
     assert digest == JUMP_CERTIFICATES_SHA256
 
 
+# sha256 of the CSVs of runs whose rest ends inside a segment, taken before
+# jumps at rest passed their records on as Stretches: (scenario, cadence,
+# t_end or None for the file's, sha256).
+REST_SHA256 = (
+    # A rest, then a 4-step jump short of a record interval, then the
+    # shortened step.
+    ("constant_load", 7, 0.0123457,
+     "7053012eed34a684458f24a9df4e8b7f2085fab1731cf4660f20ec1e21c3fa0d"),
+    ("constant_load", 1000, 0.0123457,
+     "134e23ba9aa55dd23aa711585b333a760af5bcbc77ab320bb5c6442e84071de4"),
+    # The event falls inside a record interval.
+    ("load_step", 65, 0.0512345,
+     "af65828bf68cdf0e708d2eb53c0c8a64c7be230b95e08912210c884cb445dc8a"),
+    # A rest of 24,999 records, cut into Stretches of STRETCH_RECORDS times.
+    ("constant_load", 4, None,
+     "b25bfe959e11325c36cc003d1b5f94fde3c04eede0b2ae17489f302b7792462a"),
+)
+
+
+@pytest.mark.parametrize("name, every, t_end, digest", REST_SHA256,
+                         ids=[f"{n}-{e}" for n, e, _, _ in REST_SHA256])
+def test_rests_ending_inside_a_segment_are_pinned(name, every, t_end, digest):
+    """A run at rest that leaves its rest before its segment ends, by a
+    jump short of a record interval, a shortened step or a load event, or
+    whose rest spans many Stretches, writes the pinned CSV bytes."""
+    scn = replace(parse_scenario(bundled_scenario_text(name)), record_every=every)
+    if t_end is not None:
+        scn = replace(scn, t_end=t_end)
+    csv = format_trace_csv(run(scn)).encode("utf-8")
+    assert hashlib.sha256(csv).hexdigest() == digest
+
+
 def test_drained_run_memory_does_not_grow_with_the_schedule(step_scenario):
     """Draining simulate() builds each load segment's kernel when the run
     enters the segment and drops it when the run leaves, so a 200-event
@@ -750,7 +806,7 @@ def test_drained_run_leaves_no_reference_cycles(step_scenario):
     that it cannot clear cycles early."""
     events = tuple(LoadStep(i * 1e-3 + 3.7e-7, (15.0, 10.0)[i % 2]) for i in range(1, 20))
     scn = replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.02)
-    assert _count_steps(scn)[1] < step_count(scn) / 10
+    assert _count_steps(scn).stepped < step_count(scn) / 10
     gc.collect()
     gc.disable()
     try:
@@ -865,7 +921,7 @@ def test_off_grid_load_train_matches_the_readable_oracle(step_scenario):
     )
     scn = replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.002)
     assert sum(seg.remainder > 0.0 for seg in _segments(scn)) == 21
-    assert _count_steps(scn)[1] < step_count(scn) / 2
+    assert _count_steps(scn).stepped < step_count(scn) / 2
     trace, want = run(scn), _oracle_run(scn)
     assert len(trace) == len(want)
     peaks = [max(abs(float(x)) for x in column) or 1.0 for column in zip(*want)]
@@ -912,10 +968,11 @@ def test_stationary_stretches_equal_stepping_every_step(constant_scenario, step_
     step rounds back to, d2 held at 0 by its clamp, so that every record
     has sat2 set. The two runs that never leave their start state step one
     full step and the shortened one. At every 7 each case also runs with its
-    jumps kept, as simulate() runs it: constant_load then jumps up to its
-    last 3 full steps, fewer than MIN_JUMP, and steps one of them. After
-    load_step's event, jumps round differently from steps, so with jumps
-    kept that run is compared up to the event.
+    jumps kept, as simulate() runs it: constant_load then jumps one record
+    interval, which returns its input, counts the whole intervals after it
+    at rest up to its last 3 full steps, fewer than MIN_JUMP, and steps one
+    of them. After load_step's event, jumps round differently from steps,
+    so with jumps kept that run is compared up to the event.
     """
     dt = constant_scenario.dt
     rounded_back = replace(
@@ -977,7 +1034,7 @@ def test_a_record_step_at_a_segment_end_is_recorded_once(constant_scenario):
     assert start + n_full * scn.dt == end and remainder > scn.dt * 1e-9
     times = [0.0, 16.0, 16.0, scn.t_end]
     assert [r.t for r in run(scn)] == times
-    assert _count_steps(scn) == (4, 1)
+    assert _count_steps(scn)[:4] == (4, 1, 2, 16_000_005)
 
     step_at = _compile(scn)
     calls = []
