@@ -15,10 +15,9 @@ __version__ = "0.1.0"
 # The submodule each exported name lives in.
 _SOURCES = {
     "control": (
-        "ControlGains", "ControlSignals", "controller_step", "coupling_constant",
-        "current_rate_target", "duty_command", "duty_rate_command", "lyapunov_sharing",
-        "lyapunov_voltage", "sharing_error", "virtual_current_target", "voltage_error",
-        "voltage_target",
+        "ControlSignals", "controller_step", "current_rate_target", "duty_command",
+        "duty_rate_command", "lyapunov_sharing", "lyapunov_voltage", "sharing_error",
+        "virtual_current_target", "voltage_error", "voltage_target",
     ),
     "errors": (
         "CcmViolationError", "CsvFormatError", "DegenerateConfigError", "DivergenceError",
@@ -29,7 +28,8 @@ _SOURCES = {
     "model": ("ConverterParams", "PlantDerivative", "PlantState", "equilibrium",
               "plant_derivatives"),
     "plotting": ("emit_plot_script",),
-    "scenario": ("CCM_TOL", "MAX_STEPS", "LoadStep", "Scenario", "step_count"),
+    "scenario": ("CCM_TOL", "ControlGains", "MAX_STEPS", "LoadStep", "Scenario",
+                 "coupling_constant", "step_count"),
     "scenario_io": ("BUNDLED_SCENARIOS", "bundled_scenario_text", "format_scenario",
                     "load_scenario", "parse_scenario"),
     "sim": ("TraceRecord", "run", "simulate"),

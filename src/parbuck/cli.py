@@ -29,11 +29,6 @@ from .errors import (
     ParbuckError,
     ScenarioFormatError,
 )
-from .metrics import RunMetrics, compute_metrics
-from .scenario import step_count
-from .scenario_io import init_label, load_scenario
-from .sim import Stretch, stream
-from .trace_csv import CSV_HEADER, trace_csv_rows
 
 EXIT_OK = 0
 EXIT_PARSE = 3
@@ -47,13 +42,16 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _print_metrics(metrics: RunMetrics) -> None:
-    for f in fields(metrics):
-        value = getattr(metrics, f.name)
-        print(f"{f.name:<26}: {'n/a' if value is None else repr(value)}")
-
-
 def _cmd_run(args: argparse.Namespace) -> int:
+    # Only this command needs the kernel, the CSV writer and the metrics.
+    # They come before the scenario code: with no bytecode cache, compiling
+    # sim.py sets a run's peak RSS, and the peak is lower while fewer
+    # modules are loaded.
+    from .metrics import compute_metrics
+    from .sim import Stretch, stream
+    from .trace_csv import CSV_HEADER, trace_csv_rows
+    from .scenario_io import load_scenario
+
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:
@@ -117,7 +115,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     print(f"simulated {scenario.t_end!r} s in {elapsed:.2f} s wall time; "
           f"{count} records -> {out_path}")
-    _print_metrics(metrics)
+    for f in fields(metrics):
+        value = getattr(metrics, f.name)
+        print(f"{f.name:<26}: {'n/a' if value is None else repr(value)}")
     return EXIT_OK
 
 
@@ -141,6 +141,9 @@ def _cmd_plot(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    from .scenario import step_count
+    from .scenario_io import init_label, load_scenario
+
     try:
         scenario = load_scenario(args.scenario)
     except OSError as exc:

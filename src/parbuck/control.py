@@ -1,4 +1,11 @@
-"""Backstepping controllers for the parallel buck pair.
+"""Backstepping controllers for the parallel buck pair, one function per law.
+
+This is the readable reference of the control law. The integrator in
+parbuck.sim compiles the same expression chain into its kernel, and the
+identity tests check the two against each other; no command imports this
+module. ControlGains and coupling_constant live in parbuck.scenario, whose
+Scenario validates with them, and are imported here because the laws use
+them.
 
 Leg 1 regulates the output voltage: the inductor current iL1 is treated as a
 virtual control, a current target is backed out of the voltage error, and the
@@ -40,43 +47,10 @@ and decays at 1.4/s.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import DegenerateConfigError, ParameterError
-from .model import ConverterParams, PlantState, is_finite_real
-
-
-@dataclass(frozen=True)
-class ControlGains:
-    """Loop gains, duty saturation bounds and the coupling-constant guard.
-
-    k1 [1/ohm-equivalent] speeds up the voltage loop, k2 [1/s] the sharing
-    loop. x_guard is the smallest |X| [1/(H*A)] accepted before the sharing
-    law is declared ill-conditioned.
-    """
-
-    k1: float
-    k2: float
-    x_guard: float = 1e-3
-    duty_min: float = 0.0
-    duty_max: float = 1.0
-
-    def __post_init__(self):
-        for name in ("k1", "k2", "x_guard"):
-            value = getattr(self, name)
-            if not is_finite_real(value) or value <= 0.0:
-                raise ParameterError(f"{name} must be positive, got {value!r}")
-        if not (
-            is_finite_real(self.duty_min)
-            and is_finite_real(self.duty_max)
-            and 0.0 <= self.duty_min < self.duty_max <= 1.0
-        ):
-            raise ParameterError(
-                f"duty bounds must satisfy 0 <= duty_min < duty_max <= 1, "
-                f"got [{self.duty_min!r}, {self.duty_max!r}]"
-            )
+from .model import ConverterParams, PlantState
+from .scenario import ControlGains, coupling_constant
 
 
 class ControlSignals(NamedTuple):
@@ -142,32 +116,6 @@ def duty_command(
 def sharing_error(state: PlantState, p1: ConverterParams, p2: ConverterParams) -> float:
     """Difference of per-unit currents, iL1/Imax1 - iL2/Imax2."""
     return state.iL1 / p1.Imax - state.iL2 / p2.Imax
-
-
-def coupling_constant(
-    p1: ConverterParams,
-    p2: ConverterParams,
-    x_guard: float = 1e-3,
-) -> float:
-    """Sharing-loop coupling constant X = 1/(Imax2*L2) - 1/(Imax1*L1).
-
-    The sharing law divides by X, so converters with matching Imax*L products
-    cannot be told apart by it; |X| < x_guard raises DegenerateConfigError.
-    So does a product too small for its reciprocal to be finite (X not finite).
-    """
-    il1, il2 = p1.Imax * p1.L, p2.Imax * p2.L
-    x = 1.0 / il2 - 1.0 / il1 if il1 > 0.0 and il2 > 0.0 else math.inf
-    if not math.isfinite(x):
-        raise DegenerateConfigError(
-            f"X is not finite: the converters' rated ampere-henry products "
-            f"({il1!r}, {il2!r}) are too small for the sharing law"
-        )
-    if abs(x) < x_guard:
-        raise DegenerateConfigError(
-            f"|X|={abs(x):.6g} is below the guard {x_guard:.6g}; the converters' "
-            f"rated ampere-henry products are too similar for the sharing law"
-        )
-    return x
 
 
 def voltage_target(

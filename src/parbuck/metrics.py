@@ -9,8 +9,8 @@ record that may fall in the final tenth, plus up to 1,024 more rows and the
 rest of one Stretch's (records at rest, which come as one item). Lyapunov
 decrease is a reported diagnostic rather than a hard check: the sharing-loop
 energy (e2^2 + v_tilde^2)/2 is guaranteed to decrease only while d1 is
-frozen, and the voltage law moves d1 against d2 (see the parbuck.control
-module docstring).
+frozen, and the voltage law moves d1 against d2 (see the docstring of
+control.py).
 """
 
 from __future__ import annotations

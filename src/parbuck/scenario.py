@@ -1,19 +1,21 @@
-"""What one closed-loop run simulates: the Scenario, its load schedule and
-the segment plan that the integrator in parbuck.sim follows.
+"""What one closed-loop run simulates: the Scenario, its control gains, its
+load schedule and the segment plan that the integrator in parbuck.sim
+follows.
 
-Kept apart from the kernel so that parsing and validating a scenario file
-loads no integrator code.
+The Scenario validates with ControlGains and with the guard on the sharing
+law's coupling constant X, so both live here. Kept apart from the kernel and
+from the readable control law in control.py, so that parsing and validating
+a scenario file loads neither.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from typing import Iterator, NamedTuple
 
-from .control import ControlGains, coupling_constant
-from .errors import ParameterError
+from .errors import DegenerateConfigError, ParameterError
 from .model import ConverterParams, PlantState, is_finite_real
 
 # Inductor current below -CCM_TOL amperes counts as a genuine loss of
@@ -28,6 +30,63 @@ MAX_STEPS = 10**8
 # decimal, and CPython converts at most 4,300 digits. A cadence past
 # MAX_STEPS records no more than one at MAX_STEPS does.
 RECORD_EVERY_LIMIT = 10**4300
+
+
+@dataclass(frozen=True)
+class ControlGains:
+    """Loop gains, duty saturation bounds and the coupling-constant guard.
+
+    k1 [1/ohm-equivalent] speeds up the voltage loop, k2 [1/s] the sharing
+    loop. x_guard is the smallest |X| [1/(H*A)] accepted before the sharing
+    law is declared ill-conditioned.
+    """
+
+    k1: float
+    k2: float
+    x_guard: float = 1e-3
+    duty_min: float = 0.0
+    duty_max: float = 1.0
+
+    def __post_init__(self):
+        for name in ("k1", "k2", "x_guard"):
+            value = getattr(self, name)
+            if not is_finite_real(value) or value <= 0.0:
+                raise ParameterError(f"{name} must be positive, got {value!r}")
+        if not (
+            is_finite_real(self.duty_min)
+            and is_finite_real(self.duty_max)
+            and 0.0 <= self.duty_min < self.duty_max <= 1.0
+        ):
+            raise ParameterError(
+                f"duty bounds must satisfy 0 <= duty_min < duty_max <= 1, "
+                f"got [{self.duty_min!r}, {self.duty_max!r}]"
+            )
+
+
+def coupling_constant(
+    p1: ConverterParams,
+    p2: ConverterParams,
+    x_guard: float = 1e-3,
+) -> float:
+    """Sharing-loop coupling constant X = 1/(Imax2*L2) - 1/(Imax1*L1).
+
+    The sharing law divides by X, so converters with matching Imax*L products
+    cannot be told apart by it; |X| < x_guard raises DegenerateConfigError.
+    So does a product too small for its reciprocal to be finite (X not finite).
+    """
+    il1, il2 = p1.Imax * p1.L, p2.Imax * p2.L
+    x = 1.0 / il2 - 1.0 / il1 if il1 > 0.0 and il2 > 0.0 else math.inf
+    if not math.isfinite(x):
+        raise DegenerateConfigError(
+            f"X is not finite: the converters' rated ampere-henry products "
+            f"({il1!r}, {il2!r}) are too small for the sharing law"
+        )
+    if abs(x) < x_guard:
+        raise DegenerateConfigError(
+            f"|X|={abs(x):.6g} is below the guard {x_guard:.6g}; the converters' "
+            f"rated ampere-henry products are too similar for the sharing law"
+        )
+    return x
 
 
 class LoadStep(NamedTuple):
@@ -56,7 +115,7 @@ class Scenario:
     load_schedule: tuple[LoadStep, ...]
     dt: float = 1e-6
     t_end: float = 0.1
-    initial_state: PlantState = field(default_factory=lambda: PlantState(0.0, 0.0, 0.0, 0.0))
+    initial_state: PlantState = PlantState(0.0, 0.0, 0.0, 0.0)
     record_every: int = 50
 
     def __post_init__(self):

@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .control import ControlGains
 from .errors import DegenerateConfigError, ParameterError, ParbuckError, ScenarioFormatError
 from .model import ConverterParams, PlantState, equilibrium
-from .scenario import LoadStep, Scenario
+from .scenario import ControlGains, LoadStep, Scenario
 
 BUNDLED_SCENARIOS = ("constant_load", "load_step")
 

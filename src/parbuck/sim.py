@@ -13,10 +13,9 @@ from dataclasses import astuple
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
-from .control import coupling_constant
 from .errors import CcmViolationError, DivergenceError
 from .model import equilibrium
-from .scenario import CCM_TOL, MAX_STEPS, Scenario, _segments
+from .scenario import CCM_TOL, MAX_STEPS, Scenario, _segments, coupling_constant
 
 # Fewest steps worth a jump: its check and its one map cost about as much as
 # three steps, so a shorter stretch is stepped, and a run recording more

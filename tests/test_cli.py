@@ -88,7 +88,7 @@ def test_run_unwritable_output_exits_io(constant_scn, tmp_path, capsys, monkeypa
     def no_simulation(scenario):
         raise AssertionError("stream was called")
 
-    monkeypatch.setattr(parbuck.cli, "stream", no_simulation)
+    monkeypatch.setattr(parbuck.sim, "stream", no_simulation)
     assert main(["run", str(constant_scn), "-o", str(directory), "--t-end", "0.01"]) == EXIT_IO
     assert "is a directory" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.part")) and not any(directory.iterdir())

@@ -15,10 +15,9 @@ import parbuck
 # Every exported name, by the submodule that defines it.
 EXPORTS = {
     "control": (
-        "ControlGains", "ControlSignals", "controller_step", "coupling_constant",
-        "current_rate_target", "duty_command", "duty_rate_command", "lyapunov_sharing",
-        "lyapunov_voltage", "sharing_error", "virtual_current_target", "voltage_error",
-        "voltage_target",
+        "ControlSignals", "controller_step", "current_rate_target", "duty_command",
+        "duty_rate_command", "lyapunov_sharing", "lyapunov_voltage", "sharing_error",
+        "virtual_current_target", "voltage_error", "voltage_target",
     ),
     "errors": (
         "CcmViolationError", "CsvFormatError", "DegenerateConfigError", "DivergenceError",
@@ -29,13 +28,19 @@ EXPORTS = {
     "model": ("ConverterParams", "PlantDerivative", "PlantState", "equilibrium",
               "plant_derivatives"),
     "plotting": ("emit_plot_script",),
-    "scenario": ("CCM_TOL", "MAX_STEPS", "LoadStep", "Scenario", "step_count"),
+    "scenario": ("CCM_TOL", "ControlGains", "MAX_STEPS", "LoadStep", "Scenario",
+                 "coupling_constant", "step_count"),
     "scenario_io": ("BUNDLED_SCENARIOS", "bundled_scenario_text", "format_scenario",
                     "load_scenario", "parse_scenario"),
     "sim": ("TraceRecord", "run", "simulate"),
     "trace_csv": ("CSV_COLUMNS", "format_trace_csv"),
 }
 EXPORTED = {name for names in EXPORTS.values() for name in names}
+
+# What only `parbuck run` loads: the kernel, its jump certificates, the
+# metrics and the CSV writer. The readable control law in parbuck.control
+# is a reference that no command loads.
+RUN_PIPELINE = ("parbuck.sim", "parbuck.modal", "parbuck.metrics", "parbuck.trace_csv")
 
 
 def _fresh_interpreter(code, *args):
@@ -49,6 +54,19 @@ def _fresh_interpreter(code, *args):
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+def _loaded_by_command(*argv):
+    """Run `python -m parbuck.cli <argv>` in a new interpreter, check that it
+    exits 0 and return the names of the modules it loaded."""
+    return _fresh_interpreter("""
+        import runpy, sys
+        try:
+            runpy.run_module("parbuck.cli", run_name="__main__", alter_sys=True)
+        except SystemExit as exc:
+            assert exc.code == 0, exc.code
+        print(*sorted(sys.modules))
+    """, *argv).splitlines()[-1].split()
 
 
 def test_all_lists_every_export():
@@ -85,8 +103,8 @@ def test_version_is_the_project_version():
 
 
 def test_loading_a_scenario_loads_no_kernel(tmp_path):
-    """`import parbuck` and load_scenario, a benchmark's set-up and what
-    validate runs, leave the kernel, the metrics, the CSV and plotting code
+    """`import parbuck` and load_scenario, a benchmark's set-up, leave the
+    kernel, the readable control law, the metrics, the CSV and plotting code
     and the decimal module unloaded."""
     scn = tmp_path / "load_step.scn"
     scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
@@ -98,27 +116,39 @@ def test_loading_a_scenario_loads_no_kernel(tmp_path):
         print(*sorted(sys.modules))
     """, str(scn)).split()
     assert "parbuck.scenario_io" in loaded
-    unneeded = ("parbuck.sim", "parbuck.modal", "parbuck.metrics", "parbuck.trace_csv",
-                "parbuck.plotting", "decimal")
+    unneeded = (*RUN_PIPELINE, "parbuck.control", "parbuck.plotting", "decimal")
     assert [name for name in unneeded if name in loaded] == []
 
 
 def test_a_run_loads_neither_decimal_nor_plotting(tmp_path):
     """`python -m parbuck.cli run` on the bundled load step reads its
-    engineering units without the decimal module and loads no plotting."""
+    engineering units without the decimal module, and loads neither the
+    plotting code nor the readable control law."""
     scn = tmp_path / "load_step.scn"
     scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
-    loaded = _fresh_interpreter("""
-        import runpy, sys
-        try:
-            runpy.run_module("parbuck.cli", run_name="__main__", alter_sys=True)
-        except SystemExit as exc:
-            assert exc.code == 0, exc.code
-        print(*sorted(sys.modules))
-    """, "run", str(scn), "-o", str(tmp_path / "trace.csv")).splitlines()[-1].split()
+    loaded = _loaded_by_command("run", str(scn), "-o", str(tmp_path / "trace.csv"))
     assert (tmp_path / "trace.csv").is_file()
     assert "parbuck.sim" in loaded and "parbuck.metrics" in loaded
-    assert [name for name in ("decimal", "parbuck.plotting") if name in loaded] == []
+    unneeded = ("decimal", "parbuck.plotting", "parbuck.control")
+    assert [name for name in unneeded if name in loaded] == []
+
+
+@pytest.mark.parametrize("command, loads", [
+    ("validate", "parbuck.scenario_io"), ("plot", "parbuck.plotting"),
+])
+def test_validate_and_plot_load_no_run_pipeline(command, loads, tmp_path):
+    """`python -m parbuck.cli validate` on the bundled load step, and `plot`
+    on a trace CSV, load none of the run's pipeline, nor the readable control
+    law or the decimal module; validate loads no plotting either."""
+    scn, csv = tmp_path / "load_step.scn", tmp_path / "trace.csv"
+    scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
+    csv.write_text(",".join(parbuck.CSV_COLUMNS) + "\n", encoding="utf-8")
+    args = [scn] if command == "validate" else [csv, "-o", tmp_path / "trace.gp"]
+    loaded = _loaded_by_command(command, *map(str, args))
+    assert loads in loaded
+    unneeded = (*RUN_PIPELINE, "parbuck.control", "decimal")
+    assert [name for name in unneeded if name in loaded] == []
+    assert command == "plot" or "parbuck.plotting" not in loaded
 
 
 @pytest.mark.parametrize("module", ["sim.py", "modal.py"])
