@@ -20,6 +20,7 @@ import os
 import sys
 import time
 from dataclasses import fields, replace
+from itertools import chain
 from pathlib import Path
 
 from .errors import (
@@ -86,19 +87,24 @@ def _cmd_run(args: argparse.Namespace) -> int:
     count = 0
 
     def written(fh):
-        """The records and Stretches, each passed on once its CSV text is
-        written to fh; count is the number of rows written."""
+        """The trace's blocks of records or of one Stretch, each passed on
+        once its CSV text is written to fh; count is the number of rows
+        written."""
         nonlocal count
         fh.write(CSV_HEADER)
-        for item, text in trace_csv_rows(trace):
+        for block, text in trace_csv_rows(trace):
             fh.write(text)
-            count += len(item.times) if type(item) is Stretch else 1
-            yield item
+            first = block[0]
+            count += len(first.times) if type(first) is Stretch else len(block)
+            yield block
 
+    # The metrics read the items out of each block as it is written, through
+    # chain's C loop, so no Python frame is resumed per record and the run
+    # holds one block ahead of the metrics.
     try:
         try:
             with open(part_path, "w", encoding="utf-8", newline="\n") as fh:
-                metrics = compute_metrics(written(fh), scenario.Vref)
+                metrics = compute_metrics(chain.from_iterable(written(fh)), scenario.Vref)
             os.replace(part_path, out_path)
         except BaseException:
             part_path.unlink(missing_ok=True)

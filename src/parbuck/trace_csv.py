@@ -1,20 +1,23 @@
 """Trace-to-CSV export.
 
 Floats are written with repr (shortest round-trip form, decimal point, no
-locale), so identical runs produce byte-identical files. The rows of a
-Stretch, records at rest that share one body, are one string: the body's
-text after t is formatted once and joined with each time. Otherwise each
-float column reuses the text of its last value when the new value is a
-float equal to it and nonzero: equal nonzero floats have the same bits. A
-zero (0.0 == -0.0), a nan (never equal) and any value that is not a float
-(an int's repr differs from an equal float's) are written afresh.
+locale), so identical runs produce byte-identical files. The trace passes
+through in blocks, each with the text of its rows as one string: up to
+STRETCH_RECORDS consecutive records, or one Stretch (records at rest that
+share one body), whose body's text after t is formatted once and joined with
+each time. Each float column reuses the text of its last value, across
+blocks too, when the new value is a float equal to it and nonzero: equal
+nonzero floats have the same bits. A zero (0.0 == -0.0), a nan (never
+equal) and any value that is not a float (an int's repr differs from an
+equal float's) are written afresh.
 """
 
 from __future__ import annotations
 
+from itertools import groupby, islice
 from typing import Iterable, Iterator
 
-from .sim import Stretch, TraceRecord
+from .sim import STRETCH_RECORDS, Stretch, TraceRecord
 
 CSV_COLUMNS = (
     "t", "iL1", "iL2", "Vo", "d1", "d2", "d2_dot",
@@ -27,52 +30,67 @@ CSV_HEADER = ",".join(CSV_COLUMNS) + "\n"
 
 def trace_csv_rows(
     trace: Iterable[TraceRecord | Stretch],
-) -> Iterator[tuple[TraceRecord | Stretch, str]]:
-    """Each record or Stretch with its CSV text: a record's row, or all of a
-    Stretch's rows as one string, each row ending in a newline."""
+) -> Iterator[tuple[list[TraceRecord | Stretch], str]]:
+    """The trace in blocks, each a list of up to STRETCH_RECORDS consecutive
+    records or of one Stretch, with the CSV text of all its rows as one
+    string, each row ending in a newline. The blocks hold the items as they
+    came, in order."""
     # Records of one load segment share one resistance object: format it
     # once. Each float column keeps its last value (the v_ names) and that
-    # value's text (the s_ names), across records and Stretches alike.
+    # value's text (the s_ names), across records, Stretches and blocks.
     R = R_text = None
     v_iL1 = v_iL2 = v_Vo = v_d1 = v_d2 = v_d2_dot = v_e = v_e2 = v_V1 = v_V2 = None
     s_iL1 = s_iL2 = s_Vo = s_d1 = s_d2 = s_d2_dot = s_e = s_e2 = s_V1 = s_V2 = None
-    for item in trace:
-        stretch = type(item) is Stretch
-        t, iL1, iL2, Vo, d1, d2, d2_dot, e, e2, V1, V2, R_active, sat1, sat2 = (
-            (None, *item.body) if stretch else item
-        )
-        if R_active is not R:
-            R = R_active
-            R_text = repr(R)
-        if not (iL1 == v_iL1 and iL1 and type(iL1) is float is type(v_iL1)):
-            v_iL1, s_iL1 = iL1, repr(iL1)
-        if not (iL2 == v_iL2 and iL2 and type(iL2) is float is type(v_iL2)):
-            v_iL2, s_iL2 = iL2, repr(iL2)
-        if not (Vo == v_Vo and Vo and type(Vo) is float is type(v_Vo)):
-            v_Vo, s_Vo = Vo, repr(Vo)
-        if not (d1 == v_d1 and d1 and type(d1) is float is type(v_d1)):
-            v_d1, s_d1 = d1, repr(d1)
-        if not (d2 == v_d2 and d2 and type(d2) is float is type(v_d2)):
-            v_d2, s_d2 = d2, repr(d2)
-        if not (d2_dot == v_d2_dot and d2_dot and type(d2_dot) is float is type(v_d2_dot)):
-            v_d2_dot, s_d2_dot = d2_dot, repr(d2_dot)
-        if not (e == v_e and e and type(e) is float is type(v_e)):
-            v_e, s_e = e, repr(e)
-        if not (e2 == v_e2 and e2 and type(e2) is float is type(v_e2)):
-            v_e2, s_e2 = e2, repr(e2)
-        if not (V1 == v_V1 and V1 and type(V1) is float is type(v_V1)):
-            v_V1, s_V1 = V1, repr(V1)
-        if not (V2 == v_V2 and V2 and type(V2) is float is type(v_V2)):
-            v_V2, s_V2 = V2, repr(V2)
-        # A record's row; for a Stretch, the text after t, joined with its times.
-        text = (
-            f"{'' if stretch else repr(t)},{s_iL1},{s_iL2},{s_Vo},{s_d1},{s_d2},"
-            f"{s_d2_dot},{s_e},{s_e2},{s_V1},{s_V2},{R_text},{int(sat1)},{int(sat2)}\n"
-        )
-        yield item, text.join(map(repr, item.times)) + text if stretch else text
+    # groupby splits the trace into runs of records and runs of Stretches;
+    # islice cuts each run into blocks, so no block holds more rows than a
+    # Stretch.
+    for kind, items in groupby(trace, type):
+        stretch = kind is Stretch
+        size = 1 if stretch else STRETCH_RECORDS
+        while block := list(islice(items, size)):
+            rows = []
+            for item in block:
+                t, iL1, iL2, Vo, d1, d2, d2_dot, e, e2, V1, V2, R_active, sat1, sat2 = (
+                    (None, *item.body) if stretch else item
+                )
+                if R_active is not R:
+                    R = R_active
+                    R_text = repr(R)
+                if not (iL1 == v_iL1 and iL1 and type(iL1) is float is type(v_iL1)):
+                    v_iL1, s_iL1 = iL1, repr(iL1)
+                if not (iL2 == v_iL2 and iL2 and type(iL2) is float is type(v_iL2)):
+                    v_iL2, s_iL2 = iL2, repr(iL2)
+                if not (Vo == v_Vo and Vo and type(Vo) is float is type(v_Vo)):
+                    v_Vo, s_Vo = Vo, repr(Vo)
+                if not (d1 == v_d1 and d1 and type(d1) is float is type(v_d1)):
+                    v_d1, s_d1 = d1, repr(d1)
+                if not (d2 == v_d2 and d2 and type(d2) is float is type(v_d2)):
+                    v_d2, s_d2 = d2, repr(d2)
+                if not (d2_dot == v_d2_dot and d2_dot and type(d2_dot) is float is type(v_d2_dot)):
+                    v_d2_dot, s_d2_dot = d2_dot, repr(d2_dot)
+                if not (e == v_e and e and type(e) is float is type(v_e)):
+                    v_e, s_e = e, repr(e)
+                if not (e2 == v_e2 and e2 and type(e2) is float is type(v_e2)):
+                    v_e2, s_e2 = e2, repr(e2)
+                if not (V1 == v_V1 and V1 and type(V1) is float is type(v_V1)):
+                    v_V1, s_V1 = V1, repr(V1)
+                if not (V2 == v_V2 and V2 and type(V2) is float is type(v_V2)):
+                    v_V2, s_V2 = V2, repr(V2)
+                # A record's row; for a Stretch, the text after t, joined with its times.
+                row = (
+                    f"{'' if stretch else repr(t)},{s_iL1},{s_iL2},{s_Vo},{s_d1},{s_d2},"
+                    f"{s_d2_dot},{s_e},{s_e2},{s_V1},{s_V2},{R_text},{int(sat1)},{int(sat2)}\n"
+                )
+                rows.append(row.join(map(repr, item.times)) + row if stretch else row)
+            # The rows, the block and its text are dropped before the next
+            # block is read, not while it is built.
+            text = "".join(rows)
+            del rows
+            yield block, text
+            del block, text
 
 
 def format_trace_csv(trace: Iterable[TraceRecord | Stretch]) -> str:
     """The whole trace as CSV text, header first, one row per record (each
     time of a Stretch included)."""
-    return CSV_HEADER + "".join(row for _, row in trace_csv_rows(trace))
+    return CSV_HEADER + "".join(text for _, text in trace_csv_rows(trace))

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import parbuck
-from parbuck import bundled_scenario_text, compute_metrics, load_scenario, run
+from parbuck import bundled_scenario_text, compute_metrics, load_scenario, run, simulate
 from parbuck.cli import (
     EXIT_CCM,
     EXIT_DIVERGENCE,
@@ -19,6 +19,8 @@ from parbuck.cli import (
     EXIT_PARSE,
     main,
 )
+from parbuck.errors import CcmViolationError, DivergenceError
+from parbuck.sim import STRETCH_RECORDS, Stretch, stream
 from parbuck.trace_csv import CSV_COLUMNS
 
 
@@ -140,6 +142,101 @@ def test_run_cold_start_exits_ccm(cold_start_scn, capsys, tmp_path):
     print(f"\n  stderr: {err.strip()}")
     assert code == EXIT_CCM
     assert "conduction" in err
+
+
+@pytest.fixture
+def load_step_scn(tmp_path):
+    path = tmp_path / "load_step.scn"
+    path.write_text(bundled_scenario_text("load_step"), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize("name, t_end", [("load_step", 0.06), ("constant_load", None)])
+def test_a_dense_run_prints_the_metrics_of_its_simulated_trace(name, t_end, tmp_path, capsys):
+    """`run --record-every 1`, whose records pass to the metrics in blocks,
+    prints exactly the fields that compute_metrics gives for simulate()'s
+    records, and counts every one of them."""
+    scn = tmp_path / f"{name}.scn"
+    scn.write_text(bundled_scenario_text(name), encoding="utf-8")
+    argv = ["run", str(scn), "-o", str(tmp_path / "dense.csv"), "--record-every", "1"]
+    if t_end is not None:
+        argv += ["--t-end", repr(t_end)]
+    assert main(argv) == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    scenario = replace(load_scenario(str(scn)), record_every=1,
+                       **({} if t_end is None else {"t_end": t_end}))
+    expected = compute_metrics(simulate(scenario), scenario.Vref)
+    assert lines[1:] == [f"{field:<26}: {'n/a' if value is None else repr(value)}"
+                         for field, value in vars(expected).items()]
+    count = len(run(scenario))
+    assert f" {count} records -> " in lines[0]
+    assert len((tmp_path / "dense.csv").read_text().splitlines()) == 1 + count
+
+
+def test_a_run_holds_at_most_one_block_ahead_of_the_metrics(load_step_scn, tmp_path,
+                                                            monkeypatch, capsys):
+    """The items of the stream that the CSV writer has pulled lead the items
+    that compute_metrics has seen by at most one block, STRETCH_RECORDS
+    items, on a dense run through records and Stretches: the run holds no
+    more than that between the kernel and the metrics."""
+    real_stream, real_metrics = parbuck.sim.stream, parbuck.metrics.compute_metrics
+    pulled = seen = lead = stretches = 0
+
+    def counted_stream(scenario):
+        nonlocal pulled, stretches
+        for item in real_stream(scenario):
+            pulled += 1
+            stretches += type(item) is Stretch
+            yield item
+
+    def counted_metrics(trace, Vref):
+        def seen_items():
+            nonlocal seen, lead
+            for item in trace:
+                lead = max(lead, pulled - seen)
+                seen += 1
+                yield item
+
+        return real_metrics(seen_items(), Vref)
+
+    monkeypatch.setattr(parbuck.sim, "stream", counted_stream)
+    monkeypatch.setattr(parbuck.metrics, "compute_metrics", counted_metrics)
+    assert main(["run", str(load_step_scn), "-o", str(tmp_path / "dense.csv"),
+                 "--record-every", "1", "--t-end", "0.06"]) == EXIT_OK
+    capsys.readouterr()
+    print(f"\n  {pulled} items, {stretches} Stretches, largest lead {lead}")
+    assert stretches and pulled - stretches > 2 * STRETCH_RECORDS
+    assert seen == pulled
+    assert 1 <= lead <= STRETCH_RECORDS
+
+
+@pytest.mark.parametrize("failure", ["cold start", "divergence", "late ccm"])
+def test_a_dense_run_failing_inside_a_block_leaves_no_csv(failure, constant_scn, cold_start_scn,
+                                                         load_step_scn, tmp_path, capsys):
+    """A run at --record-every 1 that fails partway through a block of
+    records exits with its failure's code and leaves neither the CSV nor
+    its partial file."""
+    scn, overrides, error, code = {
+        "cold start": (cold_start_scn, {}, CcmViolationError, EXIT_CCM),
+        "divergence": (constant_scn, {"dt": 1e100, "t_end": 1e100},
+                       DivergenceError, EXIT_DIVERGENCE),
+        "late ccm": (load_step_scn, {"dt": 3e-4}, CcmViolationError, EXIT_CCM),
+    }[failure]
+    out = tmp_path / "dense.csv"
+    argv = ["run", str(scn), "-o", str(out), "--record-every", "1"]
+    for name, value in overrides.items():
+        argv += [f"--{name.replace('_', '-')}", repr(value)]
+    # The records since the last Stretch are not a whole number of blocks,
+    # so the failure comes while a block is being filled.
+    scenario = replace(load_scenario(str(scn)), record_every=1, **overrides)
+    records_since_stretch = 0
+    with pytest.raises(error):
+        for item in stream(scenario):
+            records_since_stretch = 0 if type(item) is Stretch else records_since_stretch + 1
+    assert records_since_stretch % STRETCH_RECORDS
+    assert main(argv) == code
+    capsys.readouterr()
+    assert not out.exists() and not (tmp_path / "dense.csv.part").exists()
 
 
 def test_validate_accepts_bundled(constant_scn, capsys):

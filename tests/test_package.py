@@ -1,5 +1,7 @@
-"""The package itself: its exports, its version and what a command loads."""
+"""The package itself: its exports, its version, the Python versions its
+source parses on and what a command loads."""
 
+import ast
 import importlib
 import os
 import subprocess
@@ -41,6 +43,9 @@ EXPORTED = {name for names in EXPORTS.values() for name in names}
 # metrics and the CSV writer. The readable control law in parbuck.control
 # is a reference that no command loads.
 RUN_PIPELINE = ("parbuck.sim", "parbuck.modal", "parbuck.metrics", "parbuck.trace_csv")
+
+
+PACKAGE_SOURCES = sorted(Path(parbuck.__file__).parent.glob("*.py"))
 
 
 def _fresh_interpreter(code, *args):
@@ -100,6 +105,15 @@ def test_version_is_the_project_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert parbuck.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+@pytest.mark.parametrize("source", PACKAGE_SOURCES, ids=lambda path: path.name)
+def test_each_module_parses_as_the_oldest_supported_python(source):
+    """Every module of the package parses with Python 3.10's grammar, the
+    oldest that pyproject.toml's requires-python admits."""
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    assert 'requires-python = ">=3.10"\n' in pyproject.read_text(encoding="utf-8")
+    ast.parse(source.read_bytes(), filename=str(source), feature_version=(3, 10))
 
 
 def test_loading_a_scenario_loads_no_kernel(tmp_path):

@@ -1,4 +1,5 @@
-"""Trace-to-CSV rows: the text of each row, whatever the records share."""
+"""Trace-to-CSV rows: the text of each row, whatever the records share and
+wherever a block ends."""
 
 import math
 
@@ -21,6 +22,17 @@ def _row(r: TraceRecord) -> str:
     )
 
 
+def _passed_and_rows(trace):
+    """The items that trace_csv_rows passes on, in order, and its rows,
+    after checking that each block's text is the rows of that block."""
+    passed, rows = [], []
+    for block, text in trace_csv_rows(trace):
+        passed += block
+        rows += text.splitlines(keepends=True)
+        assert text == "".join(map(_row, expanded(block)))
+    return passed, rows
+
+
 def test_rows_are_written_field_by_field_whatever_the_records_share():
     """Rows equal the field-by-field row byte for byte, and each record is
     passed on as it came, on hand-made records: bodies equal by == that
@@ -41,12 +53,12 @@ def test_rows_are_written_field_by_field_whatever_the_records_share():
     records = [TraceRecord(i * 1e-6, *body) for i, body in enumerate(bodies)]
     records.insert(6, TraceRecord(records[5].t, *other))  # two records at one time
 
-    got = list(trace_csv_rows(records))
-    assert [r for r, _ in got] == records
-    assert all(a is b for (a, _), b in zip(got, records))
-    assert [row for _, row in got] == [_row(r) for r in records]
-    assert len(got[0][1].split(",")) == len(CSV_COLUMNS)
-    assert {row.split(",")[6] for _, row in got} == {"0.0", "-0.0"}
+    passed, rows = _passed_and_rows(records)
+    assert passed == records
+    assert all(a is b for a, b in zip(passed, records))
+    assert rows == [_row(r) for r in records]
+    assert len(rows[0].split(",")) == len(CSV_COLUMNS)
+    assert {row.split(",")[6] for row in rows} == {"0.0", "-0.0"}
 
 
 def _fresh(x):
@@ -85,10 +97,10 @@ def test_column_text_is_reused_only_for_the_same_bits():
         any(x is not y for x, y in zip(a[1:11], b[1:11])) for a, b in zip(records, records[1:])
     )
 
-    got = list(trace_csv_rows(records))
-    assert all(a is b for (a, _), b in zip(got, records))
-    assert [row for _, row in got] == [_row(r) for r in records]
-    columns = [row.split(",") for _, row in got]
+    passed, rows = _passed_and_rows(records)
+    assert len(passed) == len(records) and all(a is b for a, b in zip(passed, records))
+    assert rows == [_row(r) for r in records]
+    columns = [row.split(",") for row in rows]
     assert {c[6] for c in columns} == {"0.0", "-0.0"}
     assert {c[8] for c in columns} >= {"inf", "-inf", "nan"}
     assert [c[4] for c in columns[-5:]] == ["1", "1.0", "1.0", "1", "1"]
@@ -126,11 +138,12 @@ def test_stretch_text_is_the_rows_of_its_records(items):
     and each record's row after it is unchanged: the column memo carries
     over a Stretch as over a record. Each item is passed on as it came."""
     got = list(trace_csv_rows(items))
-    assert all(a is b for (a, _), b in zip(got, items)) and len(got) == len(items)
-    for item, text in got:
-        assert text == "".join(map(_row, expanded([item])))
+    passed = [item for block, _ in got for item in block]
+    assert len(passed) == len(items) and all(a is b for a, b in zip(passed, items))
+    for block, text in got:
+        assert text == "".join(map(_row, expanded(block)))
     assert "".join(text for _, text in got) == \
-        "".join(row for _, row in trace_csv_rows(expanded(items)))
+        "".join(text for _, text in trace_csv_rows(expanded(items)))
 
 
 def test_stretch_text_keeps_signed_zeros_nan_and_ints():
@@ -144,3 +157,77 @@ def test_stretch_text_keeps_signed_zeros_nan_and_ints():
     assert got == ["".join(map(_row, expanded([item]))) for item in items]
     assert got[1].count("\n") == 3 and got[1].split("\n")[0].split(",")[1:5] == \
         ["0.0", "-0.0", "nan", "1"]
+
+
+def _ring():
+    """Bodies in a ring, each a change of the one before it that must not
+    reuse a column's text wrongly: the same objects, equal floats in objects
+    of their own, 0.0 and -0.0 in turn, a nan after a nan, an int next to an
+    equal float, a change of the load, an equal load in an object of its
+    own, and an infinity."""
+    base = [0.5714285714285715, 0.22857142857142854, 8.0, 0.5, 0.5, 0.0, 1e-300,
+            -2.5e-17, 5e-324, 10.0]
+    ten, fifteen = 10.0, 15.0
+    bodies = [base + [ten, False, False]]
+    bodies.append(bodies[-1])
+    for change in (
+        {},                                 # equal floats, objects of their own
+        {5: -0.0, 7: -0.0},                 # zeros change sign
+        {5: 0.0, 7: 0.0, 8: math.nan},      # and back; a nan
+        {8: math.nan, 3: 1},                # a nan after a nan; an int
+        {3: 1.0, 10: fifteen},              # an equal float; the load changes
+        {3: 1, 10: float(repr(fifteen)), 11: True, 12: True},  # an equal load
+        {2: math.inf, 10: ten},             # the first load again
+    ):
+        body = [_fresh(x) for x in bodies[-1]]
+        for k, value in change.items():
+            body[k] = value
+        bodies.append(body)
+    return [tuple(body) for body in bodies]
+
+
+_RING = _ring()
+
+
+@st.composite
+def _blocky_streams(draw):
+    """Runs of 1 to 2 * STRETCH_RECORDS + 1 records between Stretches of 1 to
+    STRETCH_RECORDS times, each run walking the ring from a drawn offset, so
+    that block edges fall between every pair of neighbours in the ring and
+    next to Stretches."""
+    items, t = [], 0.0
+    runs = st.integers(-STRETCH_RECORDS, 2 * STRETCH_RECORDS + 1).filter(bool)
+    for run in draw(st.lists(runs, min_size=1, max_size=8)):
+        offset = draw(st.integers(0, len(_RING) - 1))
+        if run < 0:
+            times = [t + 1e-6 * (k + 1) for k in range(-run)]
+            items.append(Stretch(times, _RING[offset]))
+            t = times[-1]
+        else:
+            for k in range(run):
+                t += 1e-6
+                items.append(TraceRecord(t, *_RING[(offset + k) % len(_RING)]))
+    return items
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_blocky_streams())
+def test_block_texts_are_the_rows_of_their_records_wherever_a_block_ends(items):
+    """The trace passes in blocks of up to STRETCH_RECORDS consecutive records,
+    as many as the run of records has left, or of one Stretch; each block's
+    text is the field-by-field rows of its records, byte for byte, whatever
+    the column memo carried over from the block before."""
+    got = list(trace_csv_rows(items))
+    passed = [item for block, _ in got for item in block]
+    assert len(passed) == len(items) and all(a is b for a, b in zip(passed, items))
+    position = 0
+    for block, text in got:
+        assert text == "".join(map(_row, expanded(block)))
+        position += len(block)
+        if type(block[0]) is Stretch:
+            assert len(block) == 1
+        else:
+            assert 1 <= len(block) <= STRETCH_RECORDS
+            assert all(type(item) is TraceRecord for item in block)
+            assert len(block) == STRETCH_RECORDS or position == len(items) or \
+                type(items[position]) is Stretch
