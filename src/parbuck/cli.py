@@ -19,7 +19,7 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import replace
 from itertools import chain
 from pathlib import Path
 
@@ -121,9 +121,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
     print(f"simulated {scenario.t_end!r} s in {elapsed:.2f} s wall time; "
           f"{count} records -> {out_path}")
-    for f in fields(metrics):
-        value = getattr(metrics, f.name)
-        print(f"{f.name:<26}: {'n/a' if value is None else repr(value)}")
+    for name, value in zip(metrics._fields, metrics):
+        print(f"{name:<26}: {'n/a' if value is None else repr(value)}")
     return EXIT_OK
 
 

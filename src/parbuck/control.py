@@ -7,6 +7,10 @@ module. ControlGains and coupling_constant live in parbuck.scenario, whose
 Scenario validates with them, and are imported here because the laws use
 them.
 
+Both laws read the plant's own load resistance R: the voltage law in Vref/R
+and Vo/R, the sharing law in Vo/R. So the controller learns each load step
+at the instant it happens; no detection delay is modelled.
+
 Leg 1 regulates the output voltage: the inductor current iL1 is treated as a
 virtual control, a current target is backed out of the voltage error, and the
 duty d1 is chosen so the current tracks that target. With an unsaturated d1

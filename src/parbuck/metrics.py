@@ -16,11 +16,10 @@ control.py).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
-from itertools import pairwise, repeat
-from math import inf
+from itertools import repeat
+from math import fsum, inf
 from struct import Struct
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ParbuckError
 from .sim import Stretch, TraceRecord
@@ -28,8 +27,7 @@ from .sim import Stretch, TraceRecord
 _ROW = Struct("3d")  # t, e and e2 of one record in the steady-state window
 
 
-@dataclass(frozen=True)
-class RunMetrics:
+class RunMetrics(NamedTuple):
     """Summary numbers extracted from one trace.
 
     Times are absolute trace times except recovery_time, which is the delay
@@ -45,29 +43,6 @@ class RunMetrics:
     recovery_time: float | None
     lyap_violation_fraction: float
     max_duty_saturation_time: float
-
-
-def lyapunov_violation_fraction(
-    trace: Iterable[TraceRecord],
-    lyap_tol: float = 1e-9,
-    t_start: float = 0.0,
-) -> float:
-    """Fraction of unsaturated sample pairs where a loop energy grew.
-
-    Pairs are consecutive records with t >= t_start, neither record
-    saturated, spanning nonzero time (load events duplicate a timestamp to
-    show both resistances; those pairs are re-evaluations, not evolution).
-    A pair counts as a violation when V1 or V2 increased by more than
-    lyap_tol. Returns 0.0 when no pair qualifies.
-    """
-    violations = 0
-    total = 0
-    for a, b in pairwise(trace):
-        if a.t < t_start or b.t == a.t or a.sat1 or a.sat2 or b.sat1 or b.sat2:
-            continue
-        total += 1
-        violations += b.V1_lyap - a.V1_lyap > lyap_tol or b.V2_lyap - a.V2_lyap > lyap_tol
-    return violations / total if total else 0.0
 
 
 def compute_metrics(
@@ -107,8 +82,7 @@ def compute_metrics(
     pack = _ROW.pack
     prune_at = 1024 * 24
     # Each record is unpacked once. The previous record's t, R, loop
-    # energies and saturation are carried forward, and each pair is tested
-    # as lyapunov_violation_fraction tests it, with t_start = 0.
+    # energies and saturation are carried forward to test each pair.
     first = True
     prev_t = prev_R = prev_V1 = prev_V2 = prev_sat = None
     for item in trace:
@@ -194,8 +168,8 @@ def compute_metrics(
     with memoryview(rows) as raw, raw.cast("d") as flat:
         start = 3 * bisect_left(flat[::3], window_start)
         count = (len(flat) - start) // 3
-        ss_voltage = sum(map(abs, flat[start + 1::3])) / count
-        ss_sharing = sum(map(abs, flat[start + 2::3])) / count
+        ss_voltage = fsum(map(abs, flat[start + 1::3])) / count
+        ss_sharing = fsum(map(abs, flat[start + 2::3])) / count
 
     # Recovery is the voltage settle time of the records from the last event
     # on; the first of them is at the event time.

@@ -427,30 +427,27 @@ def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
         n_sub = n_full + (remainder > 0.0)
         i = 0
         while i < n_sub:
-            stop, last = n_sub, None
-            if jump is not None:
-                # Up to the next record step, but never past the last full step.
-                to_record = every - steps % every
-                n = min(to_record, n_full - i)
-                x = iL1, iL2, Vo, d2
-                got = jump(n, *x) if n >= MIN_JUMP else None
-                if got is not None:
-                    iL1, iL2, Vo, d2 = got
-                    sat2 = False
-                    i += n
-                    steps += n
-                    t_next = seg_end if i == n_sub else seg_start + i * dt
-                    if n < every or got != x or repr(got) != repr(x):
-                        if steps % every == 0 and t_next != seg_end:
-                            yield record(t_next, iL1, iL2, Vo, d2, sat2)
-                        continue
-                    # A whole record interval returned its input bit for bit,
-                    # and a jump reads only n and the state, so every whole
-                    # interval up to the last full step returns it too.
-                    last = i + (n_full - i) // every * every
-                else:
-                    stop = min(i + min(to_record, RECHECK_AFTER), n_sub)
-            if last is None:
+            # Up to the next record step, but never past the last full step.
+            to_record = every - steps % every
+            n = min(to_record, n_full - i)
+            x = iL1, iL2, Vo, d2
+            got = jump(n, *x) if jump is not None and n >= MIN_JUMP else None
+            if got is not None:
+                iL1, iL2, Vo, d2 = got
+                sat2 = False
+                i += n
+                steps += n
+                t_next = seg_end if i == n_sub else seg_start + i * dt
+                if n < every or got != x or repr(got) != repr(x):
+                    if steps % every == 0 and t_next != seg_end:
+                        yield record(t_next, iL1, iL2, Vo, d2, sat2)
+                    continue
+                # A whole record interval returned its input bit for bit,
+                # and a jump reads only n and the state, so every whole
+                # interval up to the last full step returns it too.
+                last = i + (n_full - i) // every * every
+            else:
+                stop = n_sub if jump is None else min(i + min(to_record, RECHECK_AFTER), n_sub)
                 for i in range(i + 1, stop + 1):
                     h = dt if i <= n_full else remainder
                     t_next = seg_end if i == n_sub else seg_start + i * dt

@@ -9,6 +9,8 @@ code with the function it checks.
 
 from __future__ import annotations
 
+from math import fsum
+
 from parbuck import ParbuckError, RunMetrics, TraceRecord
 
 
@@ -79,8 +81,8 @@ def multipass_metrics(
     t0, t_last = trace[0].t, trace[-1].t
     window_start = t_last - 0.1 * (t_last - t0)
     tail = [r for r in trace if r.t >= window_start]
-    ss_voltage = sum(abs(r.e) for r in tail) / len(tail)
-    ss_sharing = sum(abs(r.e2) for r in tail) / len(tail)
+    ss_voltage = fsum(abs(r.e) for r in tail) / len(tail)
+    ss_sharing = fsum(abs(r.e2) for r in tail) / len(tail)
 
     recovery = None
     last_event_t = None

@@ -56,7 +56,7 @@ def test_run_writes_csv_and_prints_metrics(constant_scn, tmp_path, capsys):
     assert "501 records" in captured.splitlines()[0]
     scenario = replace(load_scenario(str(constant_scn)), t_end=0.005, record_every=10)
     expected = compute_metrics(run(scenario), scenario.Vref)
-    for name, value in vars(expected).items():
+    for name, value in expected._asdict().items():
         assert f"{name:<26}: {'n/a' if value is None else repr(value)}" in captured
     print(captured.splitlines()[0])
 
@@ -126,6 +126,15 @@ def test_run_bad_scenario_exits_parse(tmp_path, capsys):
     assert "input voltage" in capsys.readouterr().err
 
 
+def test_run_with_a_negative_dt_override_exits_parse(constant_scn, tmp_path, capsys):
+    """An override is checked as the scenario file's value is: building the
+    overridden scenario raises, and no CSV is written."""
+    out = tmp_path / "neg.csv"
+    assert main(["run", str(constant_scn), "-o", str(out), "--dt", "-1"]) == EXIT_PARSE
+    assert "dt must be positive, got -1.0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_divergence_exits_with_its_code(constant_scn, capsys, tmp_path):
     """A one-step stride of 1e100 s overflows inside the integrator stages."""
     code = main(["run", str(constant_scn), "-o", str(tmp_path / "d.csv"),
@@ -167,10 +176,53 @@ def test_a_dense_run_prints_the_metrics_of_its_simulated_trace(name, t_end, tmp_
                        **({} if t_end is None else {"t_end": t_end}))
     expected = compute_metrics(simulate(scenario), scenario.Vref)
     assert lines[1:] == [f"{field:<26}: {'n/a' if value is None else repr(value)}"
-                         for field, value in vars(expected).items()]
+                         for field, value in expected._asdict().items()]
     count = len(run(scenario))
     assert f" {count} records -> " in lines[0]
     assert len((tmp_path / "dense.csv").read_text().splitlines()) == 1 + count
+
+
+# What `parbuck run` prints for the bundled runs. The steady-state means are
+# correctly rounded sums, so Python 3.10, 3.11 and 3.12 print these digits.
+PRINTED_METRICS = {
+    ("constant_load", ()): """\
+settle_time_v             : 0.0
+settle_time_share         : 0.0
+ss_voltage_error          : 0.0
+ss_sharing_error          : 2.7755575615628914e-17
+recovery_time             : n/a
+lyap_violation_fraction   : 0.0
+max_duty_saturation_time  : 0.0
+""",
+    ("load_step", ()): """\
+settle_time_v             : 0.0
+settle_time_share         : n/a
+ss_voltage_error          : 0.0
+ss_sharing_error          : 0.02832912668289011
+recovery_time             : 0.0
+lyap_violation_fraction   : 0.2586293146573287
+max_duty_saturation_time  : 0.0
+""",
+    ("load_step", ("--record-every", "1")): """\
+settle_time_v             : 0.050047
+settle_time_share         : n/a
+ss_voltage_error          : 8.881784197001252e-16
+ss_sharing_error          : 0.028407066167130738
+recovery_time             : 4.699999999999843e-05
+lyap_violation_fraction   : 0.2579428594293946
+max_duty_saturation_time  : 3.500000000000031e-05
+""",
+}
+
+
+@pytest.mark.parametrize("name, extra", list(PRINTED_METRICS),
+                         ids=["constant_load", "load_step", "load_step-dense"])
+def test_bundled_runs_print_pinned_metrics(name, extra, tmp_path, capsys):
+    scn = tmp_path / f"{name}.scn"
+    scn.write_text(bundled_scenario_text(name), encoding="utf-8")
+    assert main(["run", str(scn), "-o", str(tmp_path / "out.csv"), *extra]) == EXIT_OK
+    printed = capsys.readouterr().out.splitlines(keepends=True)[1:]
+    assert "".join(printed) == PRINTED_METRICS[name, extra]
 
 
 def test_a_run_holds_at_most_one_block_ahead_of_the_metrics(load_step_scn, tmp_path,
@@ -245,6 +297,12 @@ def test_validate_accepts_bundled(constant_scn, capsys):
     assert out.startswith("OK:")
     assert "init=equilibrium" in out
     assert "load schedule" in out
+
+
+def test_validate_missing_scenario_exits_io(tmp_path, capsys):
+    missing = tmp_path / "missing.scn"
+    assert main(["validate", str(missing)]) == EXIT_IO
+    assert f"cannot read scenario {str(missing)!r}" in capsys.readouterr().err
 
 
 def test_validate_rejects_unknown_key(tmp_path, capsys):
@@ -393,6 +451,22 @@ def test_plot_rejects_a_csv_path_with_a_line_break(constant_scn, tmp_path, capsy
 
 def test_plot_missing_csv_exits_io(tmp_path):
     assert main(["plot", str(tmp_path / "none.csv")]) == EXIT_IO
+
+
+def test_plot_empty_csv_exits_parse(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    assert main(["plot", str(empty), "-o", str(tmp_path / "e.gp")]) == EXIT_PARSE
+    assert "empty file" in capsys.readouterr().err
+    assert not (tmp_path / "e.gp").exists()
+
+
+def test_plot_to_a_missing_directory_exits_io(constant_scn, tmp_path, capsys):
+    csv_path = tmp_path / "t.csv"
+    assert main(["run", str(constant_scn), "-o", str(csv_path), "--t-end", "0.001"]) == EXIT_OK
+    script_path = tmp_path / "missing" / "x.gp"
+    assert main(["plot", str(csv_path), "-o", str(script_path)]) == EXIT_IO
+    assert f"cannot write {str(script_path)!r}" in capsys.readouterr().err
 
 
 def test_plot_missing_column_named(tmp_path, capsys):

@@ -13,7 +13,6 @@ from parbuck import (
     ParbuckError,
     TraceRecord,
     compute_metrics,
-    lyapunov_violation_fraction,
     run,
     simulate,
 )
@@ -115,7 +114,7 @@ def test_violation_fraction_counts_energy_increases():
         make_record(0.03, V1=0.7),            # violation
         make_record(0.04, V1=0.1, V2=0.2),    # V1 down, V2 up: violation
     ]
-    assert lyapunov_violation_fraction(trace) == pytest.approx(0.5)
+    assert compute_metrics(trace, Vref=8.0).lyap_violation_fraction == pytest.approx(0.5)
 
 
 def test_violation_fraction_skips_saturated_and_zero_time_pairs():
@@ -126,7 +125,7 @@ def test_violation_fraction_skips_saturated_and_zero_time_pairs():
         make_record(0.02, V1=9.0, R=15.0),      # event re-evaluation: same t
         make_record(0.03, V1=1.0),
     ]
-    assert lyapunov_violation_fraction(trace) == 0.0
+    assert compute_metrics(trace, Vref=8.0).lyap_violation_fraction == 0.0
 
 
 def test_violation_fraction_start_time_filter():
@@ -136,8 +135,9 @@ def test_violation_fraction_start_time_filter():
         make_record(0.02, V1=1.5),
         make_record(0.03, V1=1.0),
     ]
-    assert lyapunov_violation_fraction(trace) == pytest.approx(1.0 / 3.0)
-    assert lyapunov_violation_fraction(trace, t_start=0.01) == 0.0
+    assert compute_metrics(trace, Vref=8.0).lyap_violation_fraction == pytest.approx(1.0 / 3.0)
+    after = [r for r in trace if r.t >= 0.01]
+    assert compute_metrics(after, Vref=8.0).lyap_violation_fraction == 0.0
 
 
 def test_max_duty_saturation_time_is_longest_streak():
@@ -245,8 +245,12 @@ def traces(draw):
        st.sampled_from((1e-9, 0.1)), _finite(-1.0, 1e3))
 def test_one_pass_metrics_equal_the_multipass_oracle(trace, band, threshold, tol, t_start):
     assert_same_metrics(trace, 8.0, band=band, share_threshold=threshold, lyap_tol=tol)
-    assert (lyapunov_violation_fraction(iter(trace), tol, t_start)
-            == violation_fraction(trace, tol, t_start))
+    # Pairs from a later start, as criterion 7 takes them: the records from
+    # there on (pairs before t = 0 never count).
+    after = [r for r in trace if r.t >= t_start]
+    if after:
+        assert (repr(compute_metrics(iter(after), 8.0, lyap_tol=tol).lyap_violation_fraction)
+                == repr(violation_fraction(trace, tol, max(t_start, 0.0))))
 
 
 # Per item: a record (size 0) or a Stretch of that many times, time step,
@@ -435,7 +439,8 @@ def test_metrics_stable_under_subsampling(step_scenario):
     assert abs(coarse.max_duty_saturation_time - fine.max_duty_saturation_time) <= period
 
 
-def test_reference_runs_lyapunov_fraction_pins(step_scenario, constant_trace, step_trace):
+def test_reference_runs_lyapunov_fraction_pins(constant_scenario, step_scenario,
+                                               constant_trace, step_trace):
     """Regression pins for the two bundled scenarios' measured diagnostics.
 
     From equilibrium the constant-load run never violates. After the load
@@ -445,8 +450,10 @@ def test_reference_runs_lyapunov_fraction_pins(step_scenario, constant_trace, st
     parbuck.control module docstring: the voltage loop is at rest and its
     law holds d1 + (L1*Vin2)/(L2*Vin1)*d2 constant.
     """
-    frac_const = lyapunov_violation_fraction(constant_trace, t_start=5e-3)
-    frac_step = lyapunov_violation_fraction(step_trace, t_start=5e-3)
+    frac_const = compute_metrics([r for r in constant_trace if r.t >= 5e-3],
+                                 constant_scenario.Vref).lyap_violation_fraction
+    frac_step = compute_metrics([r for r in step_trace if r.t >= 5e-3],
+                                step_scenario.Vref).lyap_violation_fraction
     print(f"\n  constant: {frac_const:.4f}, load step: {frac_step:.4f}")
     assert frac_const == 0.0
     assert 0.20 <= frac_step <= 0.35
@@ -464,3 +471,15 @@ def test_reference_runs_lyapunov_fraction_pins(step_scenario, constant_trace, st
         assert a.V1_lyap < 1e-20 and b.V1_lyap < 1e-20
     tied = [r.d1 + ratio * r.d2 for r in after]
     assert max(tied) - min(tied) < 1e-9
+
+
+def test_criterion_7_reads_the_oracles_pair_rule(constant_scenario, step_scenario,
+                                                 constant_trace, step_trace):
+    """Criterion 7's number, the printed lyap_violation_fraction over the
+    records from 5 ms on, is the oracle's pair rule started at 5 ms over
+    the whole trace, bit for bit."""
+    for scenario, trace in ((constant_scenario, constant_trace), (step_scenario, step_trace)):
+        gate = compute_metrics([r for r in trace if r.t >= 5e-3],
+                               scenario.Vref).lyap_violation_fraction
+        print(f"\n  {gate!r}")
+        assert repr(gate) == repr(violation_fraction(trace, t_start=5e-3))

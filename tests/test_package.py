@@ -26,7 +26,7 @@ EXPORTS = {
         "InfeasibleOperatingPointError", "NumericDomainError", "ParameterError",
         "ParbuckError", "ScenarioFormatError",
     ),
-    "metrics": ("RunMetrics", "compute_metrics", "lyapunov_violation_fraction"),
+    "metrics": ("RunMetrics", "compute_metrics"),
     "model": ("ConverterParams", "PlantDerivative", "PlantState", "equilibrium",
               "plant_derivatives"),
     "plotting": ("emit_plot_script",),

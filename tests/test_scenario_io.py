@@ -222,6 +222,28 @@ def test_non_numeric_value_names_key_and_line():
     print(f"\n  {err.value}")
 
 
+def test_duplicate_section_is_rejected_at_its_line():
+    text = bundled_scenario_text("constant_load") + "\n[sim]\n"
+    with pytest.raises(ScenarioFormatError, match=r"^duplicate section \[sim\]") as err:
+        parse_scenario(text)
+    assert err.value.line == len(text.splitlines())
+
+
+def test_non_numeric_load_time_names_key_and_line():
+    text = _mutate("load_step", "0.05 = 15", "soon = 15")
+    with pytest.raises(ScenarioFormatError,
+                       match="^load entry time must be a number, got 'soon'") as err:
+        parse_scenario(text)
+    assert (err.value.key, err.value.line) == ("soon", text.splitlines().index("soon = 15") + 1)
+
+
+def test_empty_load_section_is_rejected():
+    text = _mutate("constant_load", "[load]\n0 = 10\n", "[load]\n")
+    with pytest.raises(ScenarioFormatError,
+                       match=r"^section \[load\] must contain at least one entry$"):
+        parse_scenario(text)
+
+
 def test_vref_above_vin_is_rejected():
     text = _mutate("constant_load", "Vref_V = 8", "Vref_V = 20")
     with pytest.raises(ScenarioFormatError, match="below both input voltages"):

@@ -1059,6 +1059,34 @@ def _bits(records) -> bytes:
     return array("d", chain.from_iterable(records)).tobytes()
 
 
+def test_duty_bound_at_the_equilibrium_duty_refuses_the_jump(step_scenario, monkeypatch):
+    """With duty_max = 0.5, the equilibrium d1 = Vref/Vin at either load,
+    the d1 guard rows have no slack at the fixed point: certify refuses both
+    loads, and the same call with the bundled duty_max = 1 certifies, so the
+    refusal is the slack's. The run, with no jump, still gives the trace of
+    stepping every step, bit for bit."""
+    scn = replace(step_scenario, gains=replace(step_scenario.gains, duty_max=0.5),
+                  t_end=0.06)
+    calls = []
+    certify = modal.certify
+
+    def capture(*args):
+        calls.append((args, certify(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(modal, "certify", capture)
+    got = run(scn)
+    assert len(calls) == 2
+    for (a, p, state_map, star, halfspaces, n_max), jump in calls:
+        assert jump is None
+        assert sum(bound == 0.5 for _, _, bound in halfspaces) == 4
+        relaxed = [(h, c, 1.0 if bound == 0.5 else bound) for h, c, bound in halfspaces]
+        assert certify(a, p, state_map, star, relaxed, n_max) is not None
+    want = _step_every_step(scn)
+    assert got == want and _bits(got) == _bits(want)
+    assert any(r.sat1 for r in got)
+
+
 def test_stream_expands_to_simulate(constant_scenario, step_scenario):
     """stream() yields simulate()'s records, its records at rest grouped in
     Stretches: expanded, it equals simulate() as tuples and bit for bit. Each
@@ -1139,6 +1167,9 @@ def test_run_rejects_invalid_scenarios(constant_scenario):
         (dict(dt=0.0), "dt must be positive, got 0.0"),
         (dict(t_end=-1.0), "t_end must be nonnegative, got -1.0"),
         (dict(Vref=17.0), "Vref=17.0 must be below both input voltages (16.0, 16.0)"),
+        (dict(Vref=0.0), "Vref must be positive, got 0.0"),
+        (dict(Vref=-1.0), "Vref must be positive, got -1.0"),
+        (dict(Vref=math.nan), "Vref must be positive, got nan"),
         (dict(load_schedule=()), "load schedule must have at least one entry"),
         (dict(load_schedule=(LoadStep(0.01, 10.0),)), "first load entry must be at t=0, got t=0.01"),
         (dict(load_schedule=(LoadStep(0.0, 10.0), LoadStep(0.0, 15.0))),
