@@ -39,7 +39,7 @@ Everything here is pure Python on 4x4 matrices (lists of rows). A run
 builds one certificate each time it enters a load segment, so products are
 written out entry by entry, with no call per entry, each sum in the order
 of the textbook loop. T's powers are composed with the kernel's own
-sim._Affine.of.
+sim._Affine.of and applied by calling its forms.
 """
 
 from __future__ import annotations
@@ -197,18 +197,12 @@ class Jump:
         if power is None:
             power = self._powers[n] = self._power(n)
         s0, s1, s2, s3 = self.star
-        u0, u1, u2, u3 = iL1 - s0, iL2 - s1, Vo - s2, d2 - s3
-        (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
-            (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = power
-        return (
-            s0 + (a0 * u0 + a1 * u1 + a2 * u2 + a3 * u3 + a4),
-            s1 + (b0 * u0 + b1 * u1 + b2 * u2 + b3 * u3 + b4),
-            s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4),
-            s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4),
-        )
+        u = iL1 - s0, iL2 - s1, Vo - s2, d2 - s3
+        a, b, c, q = power
+        return s0 + a(*u), s1 + b(*u), s2 + c(*u), s3 + q(*u)
 
     def _power(self, n):
-        """T^n as 4 rows of 4 linear coefficients and a constant."""
+        """T^n as 4 affine forms in u, one per state component."""
         squares = self._squares
         while 1 << len(squares) <= n:
             last = squares[-1]
@@ -217,7 +211,7 @@ class Jump:
         for j, square in enumerate(squares):
             if n >> j & 1:
                 power = square if power is None else [form.of(power) for form in square]
-        return [form.c for form in power]
+        return power
 
 
 def certify(a, p, state_map, star, halfspaces, n_max):

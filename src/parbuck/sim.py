@@ -113,6 +113,11 @@ class _Affine:
         a0, a1, a2, a3, a4 = self.c
         return _Affine((a0 / k, a1 / k, a2 / k, a3 / k, a4 / k))
 
+    def __call__(self, u0, u1, u2, u3):
+        """This form's value at the deviation (u0, u1, u2, u3)."""
+        c0, c1, c2, c3, c4 = self.c
+        return c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4
+
     def of(self, forms):
         """This form with u replaced by four forms that are affine in u."""
         c0, c1, c2, c3, c4 = self.c
@@ -181,7 +186,10 @@ def _compile(scenario: Scenario):
     rounding residual at x*, so a step from the analytic fixed point leaves
     it in place (bit for bit on the bundled scenarios, for dt up to 1e-3).
     Steps equal the scalar RK4 of controller_step and plant_derivatives to
-    rounding, not bit for bit.
+    rounding, not bit for bit. step writes its four guards and the map's
+    sums out term by term, since it runs once per step taken; the staged
+    steps off the map and the jumps, which run near load events and at
+    records, call the forms, which sum in the same order.
 
     n all-interior steps with d2 unclamped are the interior map's n-th
     power. When record_every >= MIN_JUMP, step_at certifies that region for
@@ -263,21 +271,12 @@ def _compile(scenario: Scenario):
             (g30, g31, g32, g33, g34), (g40, g41, g42, g43, g44) = guards
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
             (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
-        r0, r1, r2, r3, r4 = raw_d1.c
 
         def slope(v):
             """The closed loop's field at deviation v, in the d1 regime there."""
-            v0, v1, v2, v3 = v
-            d1 = r0 * v0 + r1 * v1 + r2 * v2 + r3 * v3 + r4
+            d1 = raw_d1(*v)
             f, g, p, q = field(_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR)
-            (f0, f1, f2, f3, f4), (g0, g1, g2, g3, g4), \
-                (p0, p1, p2, p3, p4), (q0, q1, q2, q3, q4) = f.c, g.c, p.c, q.c
-            return (
-                f0 * v0 + f1 * v1 + f2 * v2 + f3 * v3 + f4,
-                g0 * v0 + g1 * v1 + g2 * v2 + g3 * v3 + g4,
-                p0 * v0 + p1 * v1 + p2 * v2 + p3 * v3 + p4,
-                q0 * v0 + q1 * v1 + q2 * v2 + q3 * v3 + q4,
-            )
+            return f(*v), g(*v), p(*v), q(*v)
 
         jump = None
         if every >= MIN_JUMP:

@@ -5,11 +5,14 @@ locale), so identical runs produce byte-identical files. The trace passes
 through in blocks, each with the text of its rows as one string: up to
 STRETCH_RECORDS consecutive records, or one Stretch (records at rest that
 share one body), whose body's text after t is formatted once and joined with
-each time. Each float column reuses the text of its last value, across
+each time. Vo, e and V1_lyap reuse the text of their last value, across
 blocks too, when the new value is a float equal to it and nonzero: equal
 nonzero floats have the same bits. A zero (0.0 == -0.0), a nan (never
 equal) and any value that is not a float (an int's repr differs from an
-equal float's) are written afresh.
+equal float's) are written afresh. Only these three columns repeat from
+record to record: the voltage loop settles about 2e4 times faster than the
+sharing pair, so they rest bit for bit while every other column still
+moves, and a memo there would only add a comparison per value.
 """
 
 from __future__ import annotations
@@ -36,11 +39,10 @@ def trace_csv_rows(
     string, each row ending in a newline. The blocks hold the items as they
     came, in order."""
     # Records of one load segment share one resistance object: format it
-    # once. Each float column keeps its last value (the v_ names) and that
-    # value's text (the s_ names), across records, Stretches and blocks.
+    # once. Vo, e and V1_lyap each keep their last value (the v_ names) and
+    # that value's text (the s_ names), across records, Stretches and blocks.
     R = R_text = None
-    v_iL1 = v_iL2 = v_Vo = v_d1 = v_d2 = v_d2_dot = v_e = v_e2 = v_V1 = v_V2 = None
-    s_iL1 = s_iL2 = s_Vo = s_d1 = s_d2 = s_d2_dot = s_e = s_e2 = s_V1 = s_V2 = None
+    v_Vo = v_e = v_V1 = s_Vo = s_e = s_V1 = None
     # groupby splits the trace into runs of records and runs of Stretches;
     # islice cuts each run into blocks, so no block holds more rows than a
     # Stretch.
@@ -56,30 +58,16 @@ def trace_csv_rows(
                 if R_active is not R:
                     R = R_active
                     R_text = repr(R)
-                if not (iL1 == v_iL1 and iL1 and type(iL1) is float is type(v_iL1)):
-                    v_iL1, s_iL1 = iL1, repr(iL1)
-                if not (iL2 == v_iL2 and iL2 and type(iL2) is float is type(v_iL2)):
-                    v_iL2, s_iL2 = iL2, repr(iL2)
                 if not (Vo == v_Vo and Vo and type(Vo) is float is type(v_Vo)):
                     v_Vo, s_Vo = Vo, repr(Vo)
-                if not (d1 == v_d1 and d1 and type(d1) is float is type(v_d1)):
-                    v_d1, s_d1 = d1, repr(d1)
-                if not (d2 == v_d2 and d2 and type(d2) is float is type(v_d2)):
-                    v_d2, s_d2 = d2, repr(d2)
-                if not (d2_dot == v_d2_dot and d2_dot and type(d2_dot) is float is type(v_d2_dot)):
-                    v_d2_dot, s_d2_dot = d2_dot, repr(d2_dot)
                 if not (e == v_e and e and type(e) is float is type(v_e)):
                     v_e, s_e = e, repr(e)
-                if not (e2 == v_e2 and e2 and type(e2) is float is type(v_e2)):
-                    v_e2, s_e2 = e2, repr(e2)
                 if not (V1 == v_V1 and V1 and type(V1) is float is type(v_V1)):
                     v_V1, s_V1 = V1, repr(V1)
-                if not (V2 == v_V2 and V2 and type(V2) is float is type(v_V2)):
-                    v_V2, s_V2 = V2, repr(V2)
                 # A record's row; for a Stretch, the text after t, joined with its times.
                 row = (
-                    f"{'' if stretch else repr(t)},{s_iL1},{s_iL2},{s_Vo},{s_d1},{s_d2},"
-                    f"{s_d2_dot},{s_e},{s_e2},{s_V1},{s_V2},{R_text},{int(sat1)},{int(sat2)}\n"
+                    f"{'' if stretch else repr(t)},{iL1!r},{iL2!r},{s_Vo},{d1!r},{d2!r},"
+                    f"{d2_dot!r},{s_e},{e2!r},{s_V1},{V2!r},{R_text},{int(sat1)},{int(sat2)}\n"
                 )
                 rows.append(row.join(map(repr, item.times)) + row if stretch else row)
             # The rows, the block and its text are dropped before the next

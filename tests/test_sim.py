@@ -37,6 +37,7 @@ from parbuck import (
     ScenarioFormatError,
     TraceRecord,
     bundled_scenario_text,
+    compute_metrics,
     controller_step,
     coupling_constant,
     equilibrium,
@@ -52,6 +53,7 @@ from parbuck.sim import (
     CCM_TOL, MIN_JUMP, RECHECK_AFTER, STRETCH_RECORDS, Stretch, _compile, _segments,
     _stream, stream,
 )
+from parbuck.trace_csv import trace_csv_rows
 
 import identities
 import numerics
@@ -382,7 +384,8 @@ def _step_n(step, dt, n, state):
 
 def test_jump_equals_repeated_steps(step_scenario):
     """jump(n) equals n calls of step to 1e-10 of each component's size,
-    from certified states near each setup's fixed point."""
+    from certified states near each setup's fixed point, and jump(1) equals
+    one step bit for bit: both apply the interior map's one set of forms."""
     rng = random.Random(2718)
     setups, worst = 0, 0.0
     for scn, step, jump in _certified_setups(step_scenario):
@@ -395,11 +398,13 @@ def test_jump_equals_repeated_steps(step_scenario):
                 start = _state_at(jump, z)
                 if jump(scn.record_every, *start) is not None:
                     break
-            for n in (2, 13, scn.record_every):
+            for n in (1, 2, 13, scn.record_every):
                 jumped = jump(n, *start)
                 assert jumped is not None
                 stepped, clamped = _step_n(step, scn.dt, n, start)
                 assert not clamped
+                if n == 1:
+                    assert repr(jumped) == repr(stepped)
                 for got, want, size in zip(jumped, stepped, scale):
                     worst = max(worst, abs(got - want) / size)
                     assert abs(got - want) <= 1e-10 * size
@@ -763,6 +768,35 @@ def test_rests_ending_inside_a_segment_are_pinned(name, every, t_end, digest):
     assert hashlib.sha256(csv).hexdigest() == digest
 
 
+# sha256 of the CSV text and the repr of compute_metrics of each run of
+# test_output_matrix_is_pinned, in its order.
+OUTPUT_MATRIX_SHA256 = "4592c5823ed762d3c194bfa19913e529bf136f2d12d7747b07cd2c7ede788587"
+
+
+def test_output_matrix_is_pinned(step_scenario):
+    """The CSV bytes and the metrics' repr of both bundled scenarios, at
+    cadences around MIN_JUMP, STRETCH_RECORDS and the shipped 50, each to
+    its own t_end and to an end off the dt grid after the load event, and
+    of the off-grid load train at cadences 1 and 50, are the pinned ones.
+    The train's clamped and shortened steps run the kernel's staged RK4
+    off the interior map, which the other byte pins barely reach."""
+    cases = [
+        replace(scn, record_every=every, t_end=t_end)
+        for scn in (parse_scenario(bundled_scenario_text(n)) for n in ("load_step", "constant_load"))
+        for every in (1, 3, 4, 7, 50, 64, 65, 200, 10**6)
+        for t_end in (scn.t_end, 0.06 + 0.37 * scn.dt)
+    ] + [replace(_off_grid_train(step_scenario), record_every=every) for every in (1, 50)]
+    digest = hashlib.sha256()
+    for scn in cases:
+        blocks = []
+        for block, text in trace_csv_rows(stream(scn)):
+            digest.update(text.encode("utf-8"))
+            blocks.append(block)
+        metrics = compute_metrics(chain.from_iterable(blocks), scn.Vref)
+        digest.update(repr(metrics).encode("utf-8"))
+    assert digest.hexdigest() == OUTPUT_MATRIX_SHA256
+
+
 def test_drained_run_memory_does_not_grow_with_the_schedule(step_scenario):
     """Draining simulate() builds each load segment's kernel when the run
     enters the segment and drops it when the run leaves, so a 200-event
@@ -905,6 +939,17 @@ def _oracle_run(scn: Scenario) -> list:
     return trace
 
 
+def _off_grid_train(step_scenario: Scenario) -> Scenario:
+    """The bundled pair under twenty load events over 2 ms, each at its own
+    offset off the dt grid, every fourth one 90 steps late."""
+    loads = (15.0, 10.0, 12.5, 11.0)
+    offsets = [(0.37 * i % 1.0 + 90 * (i % 4 == 0)) * step_scenario.dt for i in range(1, 21)]
+    events = tuple(
+        LoadStep(i * 9.5e-5 + offset, loads[i % 4]) for i, offset in enumerate(offsets, 1)
+    )
+    return replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.002)
+
+
 def test_off_grid_load_train_matches_the_readable_oracle(step_scenario):
     """Twenty load events over 2 ms, each at its own offset off the dt grid
     so that each of the 21 segments ends in a shortened step, with settled
@@ -914,12 +959,7 @@ def test_off_grid_load_train_matches_the_readable_oracle(step_scenario):
     every fourth event comes 90 steps late, 4 or 5 steps before the next,
     so both kinds of staged step, clamped full steps and shortened steps,
     meet the clamp."""
-    loads = (15.0, 10.0, 12.5, 11.0)
-    offsets = [(0.37 * i % 1.0 + 90 * (i % 4 == 0)) * step_scenario.dt for i in range(1, 21)]
-    events = tuple(
-        LoadStep(i * 9.5e-5 + offset, loads[i % 4]) for i, offset in enumerate(offsets, 1)
-    )
-    scn = replace(step_scenario, load_schedule=(LoadStep(0.0, 10.0), *events), t_end=0.002)
+    scn = _off_grid_train(step_scenario)
     assert sum(seg.remainder > 0.0 for seg in _segments(scn)) == 21
     assert _count_steps(scn).stepped < step_count(scn) / 2
     trace, want = run(scn), _oracle_run(scn)
