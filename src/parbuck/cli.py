@@ -129,13 +129,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
 def _cmd_plot(args: argparse.Namespace) -> int:
     from .plotting import emit_plot_script  # only this command needs it
 
-    out_path = args.output or str(Path(args.csv).with_suffix(".gp").name)
     try:
         script = emit_plot_script(args.csv)
     except OSError as exc:
         return _fail(EXIT_IO, f"cannot read CSV {args.csv!r}: {exc}")
     except CsvFormatError as exc:
         return _fail(EXIT_PARSE, str(exc))
+    out_path = args.output or str(Path(args.csv).with_suffix(".gp").name)
     try:
         with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(script)

@@ -66,7 +66,7 @@ class ControlGains:
 def coupling_constant(
     p1: ConverterParams,
     p2: ConverterParams,
-    x_guard: float = 1e-3,
+    x_guard: float = ControlGains.x_guard,
 ) -> float:
     """Sharing-loop coupling constant X = 1/(Imax2*L2) - 1/(Imax1*L1).
 

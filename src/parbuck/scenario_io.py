@@ -1,29 +1,43 @@
 """Plain-text scenario files: parsing, validation and canonical output.
 
 Format: INI-like sections [converter1], [converter2], [control], [load],
-[sim]. Converter inductance and capacitance are given in engineering units
-(L_mH, C_uF); everything else is SI. The [load] section holds one
-``time_s = R_ohm`` entry per line, first entry at t=0. Unknown sections or
-keys are rejected so typos fail loudly. ``format_scenario`` emits a
-canonical document that parses back to an identical Scenario.
+[sim]. _KEYS declares each keyed section's keys once, for the unknown-key
+check, the parser and format_scenario alike: the field of ConverterParams,
+ControlGains or Scenario that each sets, and the power of ten between its
+unit and SI (L_mH and C_uF are in engineering units, everything else is SI).
+A key left out of a file is not passed, so its field keeps the dataclass
+default; a key whose field has no default is required. The [load] section
+holds one ``time_s = R_ohm`` entry per line, first entry at t=0, and the
+[sim] ``init`` word names the initial state; both are read apart from the
+table. Unknown sections or keys are rejected so typos fail loudly.
+``format_scenario`` emits a canonical document that parses back to an
+identical Scenario.
 """
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from importlib import resources
 
 from .errors import DegenerateConfigError, ParameterError, ParbuckError, ScenarioFormatError
-from .model import ConverterParams, PlantState, equilibrium
+from .model import ConverterParams, equilibrium
 from .scenario import ControlGains, LoadStep, Scenario
 
 BUNDLED_SCENARIOS = ("constant_load", "load_step")
 
-_CONVERTER_KEYS = ("L_mH", "C_uF", "Vin_V", "Imax_A")
-_CONTROL_KEYS = ("k1", "k2", "duty_min", "duty_max", "x_guard")
-_SIM_KEYS = ("Vref_V", "dt_s", "t_end_s", "record_every", "init")
+# file key -> (field, shift), in the order keys are read and written; the file
+# holds the field's SI value times 10**shift.
+_CONVERTER_KEYS = {"L_mH": ("L", 3), "C_uF": ("C", 6), "Vin_V": ("Vin", 0), "Imax_A": ("Imax", 0)}
+_KEYS = {
+    "converter1": _CONVERTER_KEYS,
+    "converter2": _CONVERTER_KEYS,
+    "control": {"k1": ("k1", 0), "k2": ("k2", 0), "duty_min": ("duty_min", 0),
+                "duty_max": ("duty_max", 0), "x_guard": ("x_guard", 0)},
+    "sim": {"Vref_V": ("Vref", 0), "dt_s": ("dt", 0), "t_end_s": ("t_end", 0),
+            "record_every": ("record_every", 0)},
+}
 _SECTIONS = ("converter1", "converter2", "control", "load", "sim")
 _INIT_LABELS = ("zero", "equilibrium")
-_ZERO = PlantState(0.0, 0.0, 0.0, 0.0)
 
 # The exponents an engineering-unit numeral may write, those of the decimal
 # module's widest context, so that every file reads as a decimal-based reader
@@ -60,14 +74,11 @@ def _split_sections(text: str) -> dict[str, list[tuple[str, str, int]]]:
     return sections
 
 
-def _as_table(
-    entries: list[tuple[str, str, int]],
-    section: str,
-    allowed: tuple[str, ...],
-) -> dict[str, tuple[str, int]]:
+def _as_table(sections, section: str, *extra: str) -> dict[str, tuple[str, int]]:
+    """The section's entries by key; each must be a table key or in extra."""
     table: dict[str, tuple[str, int]] = {}
-    for key, value, lineno in entries:
-        if key not in allowed:
+    for key, value, lineno in sections[section]:
+        if key not in _KEYS[section] and key not in extra:
             raise ScenarioFormatError(
                 f"unknown key in [{section}]", key=key, line=lineno
             )
@@ -79,11 +90,7 @@ def _as_table(
     return table
 
 
-def _number(table: dict[str, tuple[str, int]], key: str, default: float | None = None) -> float:
-    if key not in table:
-        if default is not None:
-            return default
-        raise ScenarioFormatError("missing required key", key=key)
+def _number(table: dict[str, tuple[str, int]], key: str) -> float:
     value, lineno = table[key]
     try:
         return float(value)
@@ -93,12 +100,10 @@ def _number(table: dict[str, tuple[str, int]], key: str, default: float | None =
         ) from None
 
 
-def _cadence(table: dict[str, tuple[str, int]], key: str, default: int) -> int | float:
+def _cadence(table: dict[str, tuple[str, int]], key: str) -> int | float:
     """An integer entry. An integer literal is read with int(), so that one
     above 2**53 keeps every digit; any other number is read as a float and
     made an int when it is integral (Scenario rejects the rest)."""
-    if key not in table:
-        return default
     try:
         return int(table[key][0])
     except ValueError:
@@ -133,17 +138,31 @@ def _si_number(table: dict[str, tuple[str, int]], key: str, shift: int) -> float
     raise ScenarioFormatError(f"{text!r} is out of range", key=key, line=lineno)
 
 
-def _converter(sections, name: str) -> ConverterParams:
-    table = _as_table(sections[name], name, _CONVERTER_KEYS)
+def _arguments(cls, table: dict[str, tuple[str, int]], section: str) -> dict:
+    """The keyword arguments of cls that the section's table keys give, read
+    in table order. A key left out is not passed, so its field keeps the
+    dataclass default; a key whose field has no default is required."""
+    specs = {spec.name: spec for spec in fields(cls)}
+    arguments = {}
+    for key, (field, shift) in _KEYS[section].items():
+        if key not in table:
+            if specs[field].default is MISSING:
+                raise ScenarioFormatError("missing required key", key=key)
+        elif shift:
+            arguments[field] = _si_number(table, key, shift)
+        elif specs[field].type in ("int", int):  # a string if annotations are postponed
+            arguments[field] = _cadence(table, key)
+        else:
+            arguments[field] = _number(table, key)
+    return arguments
+
+
+def _build(cls, sections, section: str):
+    arguments = _arguments(cls, _as_table(sections, section), section)
     try:
-        return ConverterParams(
-            L=_si_number(table, "L_mH", 3),
-            C=_si_number(table, "C_uF", 6),
-            Vin=_number(table, "Vin_V"),
-            Imax=_number(table, "Imax_A"),
-        )
+        return cls(**arguments)
     except ParameterError as exc:
-        raise ScenarioFormatError(f"invalid [{name}]: {exc}") from exc
+        raise ScenarioFormatError(f"invalid [{section}]: {exc}") from exc
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -153,20 +172,9 @@ def parse_scenario(text: str) -> Scenario:
         if name not in sections:
             raise ScenarioFormatError(f"missing section [{name}]")
 
-    p1 = _converter(sections, "converter1")
-    p2 = _converter(sections, "converter2")
-
-    control = _as_table(sections["control"], "control", _CONTROL_KEYS)
-    try:
-        gains = ControlGains(
-            k1=_number(control, "k1"),
-            k2=_number(control, "k2"),
-            x_guard=_number(control, "x_guard", 1e-3),
-            duty_min=_number(control, "duty_min", 0.0),
-            duty_max=_number(control, "duty_max", 1.0),
-        )
-    except ParameterError as exc:
-        raise ScenarioFormatError(f"invalid [control]: {exc}") from exc
+    p1 = _build(ConverterParams, sections, "converter1")
+    p2 = _build(ConverterParams, sections, "converter2")
+    gains = _build(ControlGains, sections, "control")
 
     schedule = []
     for key, value, lineno in sections["load"]:
@@ -186,11 +194,8 @@ def parse_scenario(text: str) -> Scenario:
     if not schedule:
         raise ScenarioFormatError("section [load] must contain at least one entry")
 
-    sim_table = _as_table(sections["sim"], "sim", _SIM_KEYS)
-    vref = _number(sim_table, "Vref_V")
-    dt = _number(sim_table, "dt_s", 1e-6)
-    t_end = _number(sim_table, "t_end_s", 0.1)
-    record_every = _cadence(sim_table, "record_every", 50)
+    sim_table = _as_table(sections, "sim", "init")
+    arguments = _arguments(Scenario, sim_table, "sim")
     init, lineno = sim_table.get("init", ("zero", None))
     if init not in _INIT_LABELS:
         raise ScenarioFormatError(
@@ -198,24 +203,12 @@ def parse_scenario(text: str) -> Scenario:
         )
     if init == "equilibrium":
         try:
-            initial_state = equilibrium(p1, p2, schedule[0].R, vref)
+            arguments["initial_state"] = equilibrium(p1, p2, schedule[0].R, arguments["Vref"])
         except ParbuckError as exc:
             raise ScenarioFormatError(str(exc)) from exc
-    else:
-        initial_state = _ZERO
 
     try:
-        return Scenario(
-            p1=p1,
-            p2=p2,
-            gains=gains,
-            Vref=vref,
-            load_schedule=tuple(schedule),
-            dt=dt,
-            t_end=t_end,
-            initial_state=initial_state,
-            record_every=record_every,
-        )
+        return Scenario(p1=p1, p2=p2, gains=gains, load_schedule=tuple(schedule), **arguments)
     except (ParameterError, DegenerateConfigError) as exc:
         raise ScenarioFormatError(str(exc)) from exc
 
@@ -230,11 +223,20 @@ def _engineering(si_value: float, shift: int) -> str:
     return f"{value:f}" if -6 <= value.adjusted() < 16 else str(value)
 
 
+def _section(section: str, obj, *extra: str) -> str:
+    """The section's text: each table key with obj's field value, then extra."""
+    lines = [f"[{section}]"]
+    for key, (field, shift) in _KEYS[section].items():
+        value = getattr(obj, field)
+        lines.append(f"{key} = {_engineering(value, shift) if shift else repr(value)}")
+    return "\n".join([*lines, *extra])
+
+
 def init_label(scenario: Scenario) -> str:
     """The [sim] init word of the scenario's initial state: "zero", or
     "equilibrium" of the first load at Vref. Others raise ScenarioFormatError."""
     s = scenario
-    if s.initial_state == _ZERO:
+    if s.initial_state == Scenario.initial_state:
         return "zero"
     if s.initial_state == equilibrium(s.p1, s.p2, s.load_schedule[0].R, s.Vref):
         return "equilibrium"
@@ -249,35 +251,14 @@ def format_scenario(scenario: Scenario) -> str:
     Only zero/equilibrium initial states are representable in a file (see
     init_label); scenarios carrying any other state are rejected.
     """
-    init = init_label(scenario)
-    lines = []
-    for name, p in (("converter1", scenario.p1), ("converter2", scenario.p2)):
-        lines.append(f"[{name}]")
-        lines.append(f"L_mH = {_engineering(p.L, 3)}")
-        lines.append(f"C_uF = {_engineering(p.C, 6)}")
-        lines.append(f"Vin_V = {p.Vin!r}")
-        lines.append(f"Imax_A = {p.Imax!r}")
-        lines.append("")
-    g = scenario.gains
-    lines.append("[control]")
-    lines.append(f"k1 = {g.k1!r}")
-    lines.append(f"k2 = {g.k2!r}")
-    lines.append(f"duty_min = {g.duty_min!r}")
-    lines.append(f"duty_max = {g.duty_max!r}")
-    lines.append(f"x_guard = {g.x_guard!r}")
-    lines.append("")
-    lines.append("[load]")
-    for entry in scenario.load_schedule:
-        lines.append(f"{entry.time!r} = {entry.R!r}")
-    lines.append("")
-    lines.append("[sim]")
-    lines.append(f"Vref_V = {scenario.Vref!r}")
-    lines.append(f"dt_s = {scenario.dt!r}")
-    lines.append(f"t_end_s = {scenario.t_end!r}")
-    lines.append(f"record_every = {scenario.record_every}")
-    lines.append(f"init = {init}")
-    lines.append("")
-    return "\n".join(lines)
+    s = scenario
+    init = init_label(s)
+    load = [f"{entry.time!r} = {entry.R!r}" for entry in s.load_schedule]
+    return "\n\n".join((
+        _section("converter1", s.p1), _section("converter2", s.p2),
+        _section("control", s.gains), "\n".join(["[load]", *load]),
+        _section("sim", s, f"init = {init}"),
+    )) + "\n"
 
 
 def load_scenario(path: str) -> Scenario:

@@ -453,6 +453,16 @@ def test_plot_missing_csv_exits_io(tmp_path):
     assert main(["plot", str(tmp_path / "none.csv")]) == EXIT_IO
 
 
+@pytest.mark.parametrize("directory", [".", "/"])
+def test_plot_of_a_directory_exits_io(directory, tmp_path, monkeypatch, capsys):
+    """A directory is no CSV, and . and / give no name for the default
+    script either: the read fails first, with the I/O exit code."""
+    monkeypatch.chdir(tmp_path)
+    assert main(["plot", directory]) == EXIT_IO
+    assert f"cannot read CSV {directory!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_plot_empty_csv_exits_parse(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")

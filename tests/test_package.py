@@ -4,6 +4,7 @@ source parses on and what a command loads."""
 import ast
 import importlib
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -105,6 +106,17 @@ def test_version_is_the_project_version():
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with open(pyproject, "rb") as fh:
         assert parbuck.__version__ == tomllib.load(fh)["project"]["version"]
+
+
+def test_readme_examples_run():
+    """The README's example scenario file parses, to the bundled load step it
+    writes out, and its first library example runs."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    ini, python = (re.search(rf"^```{lang}\n(.*?)^```$", readme, re.S | re.M).group(1)
+                   for lang in ("ini", "python"))
+    bundled = parbuck.parse_scenario(parbuck.bundled_scenario_text("load_step"))
+    assert parbuck.parse_scenario(ini) == bundled
+    exec(compile(python, "README.md", "exec"), {})
 
 
 @pytest.mark.parametrize("source", PACKAGE_SOURCES, ids=lambda path: path.name)

@@ -1,5 +1,6 @@
 """Scenario files: bundled contents, exact round-trips, and named errors."""
 
+import hashlib
 import math
 import random
 from dataclasses import replace
@@ -342,6 +343,93 @@ def test_state_off_the_equilibrium_is_not_written_as_one(step_scenario, change):
 def test_unknown_bundled_name_is_rejected():
     with pytest.raises(ScenarioFormatError, match="unknown bundled scenario"):
         bundled_scenario_text("nonexistent")
+
+
+_DEFAULTS = [
+    ("x_guard", lambda s: s.gains.x_guard, 1e-3),
+    ("duty_min", lambda s: s.gains.duty_min, 0.0),
+    ("duty_max", lambda s: s.gains.duty_max, 1.0),
+    ("dt_s", lambda s: s.dt, 1e-6),
+    ("t_end_s", lambda s: s.t_end, 0.1),
+    ("record_every", lambda s: s.record_every, 50),
+    ("init", lambda s: s.initial_state, PlantState(0.0, 0.0, 0.0, 0.0)),
+]
+
+
+@pytest.mark.parametrize("key, field, default", _DEFAULTS, ids=[case[0] for case in _DEFAULTS])
+def test_a_key_left_out_takes_its_fields_default(step_scenario, key, field, default):
+    """Each optional key, dropped from the bundled load step written out with
+    every optional value off its default, leaves its field at the
+    ControlGains or Scenario default."""
+    gains = replace(step_scenario.gains, x_guard=2e-3, duty_min=0.1, duty_max=0.9)
+    moved = replace(step_scenario, gains=gains, dt=2e-6, t_end=0.05, record_every=7)
+    lines = format_scenario(moved).splitlines()
+    kept = [line for line in lines if line.partition(" =")[0] != key]
+    assert len(kept) == len(lines) - 1 and repr(field(moved)) != repr(default)
+    assert repr(field(parse_scenario("\n".join(kept)))) == repr(default)
+
+
+# Every key a keyed section may hold; a single-fault file adds each one that a
+# bundled file leaves out.
+_SECTION_KEYS = {
+    "converter1": ("L_mH", "C_uF", "Vin_V", "Imax_A"),
+    "converter2": ("L_mH", "C_uF", "Vin_V", "Imax_A"),
+    "control": ("k1", "k2", "duty_min", "duty_max", "x_guard"),
+    "sim": ("Vref_V", "dt_s", "t_end_s", "record_every", "init"),
+}
+_FAULT_VALUES = (
+    "nan", "inf", "1e400", "1e-321", "-0", "1_0", "0x10", "", "abc",
+    "1e-99999999999999999999", "2.5", "-1", "7", "equilibrium", "zero", "0.5", "1e30",
+)
+
+
+def _single_fault_files():
+    """Each bundled file with one of its `key = value` lines dropped,
+    duplicated, followed by an unknown key or given each fault value; and
+    with each key it leaves out added with each fault value."""
+    for name in BUNDLED_SCENARIOS:
+        lines = bundled_scenario_text(name).splitlines()
+        for i, line in enumerate(lines):
+            key, sep, _ = line.partition("=")
+            if not sep or line.startswith("#"):
+                continue
+            head, tail = lines[:i], lines[i + 1:]
+            yield head + tail
+            yield head + [line, line] + tail
+            yield head + [line, "bogus = 1"] + tail
+            for value in _FAULT_VALUES:
+                yield head + [f"{key.strip()} = {value}"] + tail
+        for section, keys in _SECTION_KEYS.items():
+            at = lines.index(f"[{section}]") + 1
+            body = lines[at:(lines + [""]).index("", at)]
+            for key in keys:
+                if not any(entry.partition("=")[0].strip() == key for entry in body):
+                    for value in _FAULT_VALUES:
+                        yield lines[:at] + [f"{key} = {value}"] + lines[at:]
+
+
+# sha256 of the outcomes of _single_fault_files, taken at the commit before
+# scenario_io read and wrote its keys from one table per section.
+SINGLE_FAULT_SHA256 = "918d481b4386d59f767f98edf32ebdbc8cbd95401ed9ab14e2fcba96569ea1e7"
+
+
+def test_single_fault_files_parse_as_pinned():
+    """Each single-fault file gives the pinned scenario and canonical text,
+    or the pinned message, key and line. Round-trip tests cannot see a
+    reordered line, a renamed key or a changed error; this does."""
+    digest, count = hashlib.sha256(), 0
+    for lines in _single_fault_files():
+        try:
+            scenario = parse_scenario("\n".join(lines) + "\n")
+        except ScenarioFormatError as exc:
+            outcome = repr((str(exc), exc.key, exc.line))
+        else:
+            outcome = repr(scenario) + format_scenario(scenario)
+        digest.update(outcome.encode("utf-8") + b"\0")
+        count += 1
+    print(f"\n  {count} files: {digest.hexdigest()}")
+    assert count == 762
+    assert digest.hexdigest() == SINGLE_FAULT_SHA256
 
 
 # ── Properties ────────────────────────────────────────────────────────────────
