@@ -52,8 +52,7 @@ class ConverterParams:
                 raise ParameterError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class PlantState:
+class PlantState(NamedTuple):
     """Dynamic state: inductor currents [A], output voltage [V], duty of leg 2.
 
     iL1, iL2 >= 0 and d2 in [0, 1] are operational invariants maintained by
@@ -66,14 +65,6 @@ class PlantState:
     iL2: float
     Vo: float
     d2: float
-
-    def is_finite(self) -> bool:
-        return (
-            math.isfinite(self.iL1)
-            and math.isfinite(self.iL2)
-            and math.isfinite(self.Vo)
-            and math.isfinite(self.d2)
-        )
 
 
 class PlantDerivative(NamedTuple):
@@ -99,16 +90,17 @@ def plant_derivatives(
     state and integrates ``d2_dot``. Raises NumericDomainError on non-finite
     inputs or a non-positive load.
     """
-    if not state.is_finite():
+    if not all(map(math.isfinite, state)):
         raise NumericDomainError(f"plant state must be finite, got {state}")
     if not math.isfinite(R) or R <= 0.0:
         raise NumericDomainError(f"load resistance must be positive and finite, got {R!r}")
     if not math.isfinite(d1) or not math.isfinite(d2_dot):
         raise NumericDomainError(f"duty inputs must be finite, got d1={d1!r}, d2_dot={d2_dot!r}")
+    iL1, iL2, Vo, d2 = state
     return PlantDerivative(
-        diL1=(d1 * p1.Vin - state.Vo) / p1.L,
-        diL2=(state.d2 * p2.Vin - state.Vo) / p2.L,
-        dVo=(state.iL1 + state.iL2 - state.Vo / R) / (p1.C + p2.C),
+        diL1=(d1 * p1.Vin - Vo) / p1.L,
+        diL2=(d2 * p2.Vin - Vo) / p2.L,
+        dVo=(iL1 + iL2 - Vo / R) / (p1.C + p2.C),
         dd2=d2_dot,
     )
 

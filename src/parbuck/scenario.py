@@ -173,7 +173,7 @@ class Scenario:
                 f"first load entry must be at t=0, got t={s.load_schedule[0].time!r}"
             )
         state = s.initial_state
-        if not all(is_finite_real(x) for x in (state.iL1, state.iL2, state.Vo, state.d2)):
+        if not all(map(is_finite_real, state)):
             raise ParameterError(f"initial state must be finite, got {state}")
         if not 0.0 <= state.d2 <= 1.0:
             raise ParameterError(f"initial d2 must be in [0, 1], got {state.d2!r}")

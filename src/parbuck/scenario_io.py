@@ -17,7 +17,6 @@ identical Scenario.
 from __future__ import annotations
 
 from dataclasses import MISSING, fields
-from importlib import resources
 
 from .errors import DegenerateConfigError, ParameterError, ParbuckError, ScenarioFormatError
 from .model import ConverterParams, equilibrium
@@ -273,6 +272,8 @@ def load_scenario(path: str) -> Scenario:
 
 def bundled_scenario_text(name: str) -> str:
     """Source text of a scenario shipped with the package."""
+    from importlib import resources  # only this function reads package data
+
     if name not in BUNDLED_SCENARIOS:
         raise ScenarioFormatError(
             f"unknown bundled scenario {name!r}; available: {list(BUNDLED_SCENARIOS)}"

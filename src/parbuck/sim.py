@@ -9,7 +9,6 @@ diverges or an inductor current leaves continuous conduction.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple
 from itertools import repeat
 from typing import Iterator, NamedTuple
 
@@ -197,9 +196,13 @@ def _compile(scenario: Scenario):
     the state after n steps, that power applied once, if the certificate
     proves that every one of the n steps stays interior, leaves d2
     unclamped and keeps both currents at or above -CCM_TOL, and None
-    otherwise. jump is None when record_every < MIN_JUMP, when the interior
-    poles are not two complex pairs and when the map is not a certified
-    contraction in their modal basis.
+    otherwise. jump is None when record_every < MIN_JUMP, and when
+    parbuck.modal builds no certificate: when the error-coordinate rows are
+    singular, when the voltage rows reach the sharing columns, when the
+    interior poles are not two complex pairs or both pairs share a pole,
+    when their basis fails V·W = I, when the map is not a certified
+    contraction in that basis, when its fixed-point system is singular and
+    when a half-space has no slack at the fixed point.
 
     Non-finiteness is checked once per step, on the sum of the new state's
     components. d2 is checked before it is clamped to [0, 1], since the
@@ -242,8 +245,8 @@ def _compile(scenario: Scenario):
 
     def step_at(R: float):
         star = equilibrium(p1, p2, R, Vref)
-        s0, s1, s2, s3 = star.iL1, star.iL2, star.Vo, star.d2
-        x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, (s0, s1, s2, s3))]
+        s0, s1, s2, s3 = star
+        x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, star)]
         raw_d1, e, i_tilde, diL2 = voltage_law(R, *x)
         # The field of each d1 regime, low first, built on first use. laws
         # keeps each regime's whole sharing law: the interior one's e2 and
@@ -304,7 +307,7 @@ def _compile(scenario: Scenario):
             jump = certify(
                 [row.c[:4] for row in rows],
                 [form.c[:4] for form in (e, i_tilde, *laws[_INTERIOR][1:3])],
-                interior_map, (s0, s1, s2, s3), halfspaces, min(every, MAX_STEPS),
+                interior_map, star, halfspaces, min(every, MAX_STEPS),
             )
 
         def step(t_next, h, iL1, iL2, Vo, d2):
@@ -412,7 +415,7 @@ def _stream(scenario: Scenario, step_at) -> Iterator[TraceRecord | Stretch]:
     only one Stretch's times are held at once. Expanded, they are the
     records that taking each step and jump gives.
     """
-    iL1, iL2, Vo, d2 = astuple(scenario.initial_state)
+    iL1, iL2, Vo, d2 = scenario.initial_state
     dt, every = scenario.dt, scenario.record_every
     ccm_floor = -CCM_TOL
     sat2, steps = False, 0

@@ -19,7 +19,7 @@ from parbuck.cli import (
     EXIT_PARSE,
     main,
 )
-from parbuck.errors import CcmViolationError, DivergenceError
+from parbuck.errors import CcmViolationError, DivergenceError, ParbuckError
 from parbuck.sim import STRETCH_RECORDS, Stretch, stream
 from parbuck.trace_csv import CSV_COLUMNS
 
@@ -111,6 +111,34 @@ def test_failed_run_leaves_no_partial_csv(constant_scn, cold_start_scn, tmp_path
         argv, expected = ["run", str(cold_start_scn)], EXIT_CCM
     assert main(argv + ["-o", str(out)]) == expected
     capsys.readouterr()
+    assert not (tmp_path / "out.csv.part").exists()
+    if existing is None:
+        assert not out.exists()
+    else:
+        assert out.read_bytes() == existing
+
+
+@pytest.mark.parametrize("existing", [None, b"an earlier trace\n"], ids=["fresh", "existing"])
+def test_run_failing_with_another_library_error_exits_parse(constant_scn, tmp_path, capsys,
+                                                            monkeypatch, existing):
+    """A ParbuckError that is neither a divergence nor a CCM violation,
+    raised by the trace after its first blocks are written, exits 3 naming
+    the scenario, removes the partial file and leaves a file already at the
+    output path as it was."""
+    out = tmp_path / "out.csv"
+    if existing is not None:
+        out.write_bytes(existing)
+
+    def failing(scenario):
+        # A Stretch is a block of its own, written before the next item is read.
+        for item in stream(scenario):
+            yield item
+            if type(item) is Stretch:
+                raise ParbuckError("injected failure")
+
+    monkeypatch.setattr(parbuck.sim, "stream", failing)
+    assert main(["run", str(constant_scn), "-o", str(out)]) == EXIT_PARSE
+    assert capsys.readouterr().err == f"error: {constant_scn}: injected failure\n"
     assert not (tmp_path / "out.csv.part").exists()
     if existing is None:
         assert not out.exists()

@@ -48,23 +48,30 @@ RUN_PIPELINE = ("parbuck.sim", "parbuck.modal", "parbuck.metrics", "parbuck.trac
 
 PACKAGE_SOURCES = sorted(Path(parbuck.__file__).parent.glob("*.py"))
 
+# The start-up import checks run each command as is and under -S, so that a
+# module that site preloads (a .pth hook may import importlib.resources, say)
+# cannot hide an import of the package's own.
+START_UP_FLAGS = ((), ("-S",))
 
-def _fresh_interpreter(code, *args):
-    """Run code in a new interpreter that imports the package under test,
-    installed or not, and return its stdout."""
+
+def _fresh_interpreter(code, *args, flags=()):
+    """Run code in a new interpreter, started with the interpreter flags
+    given, that imports the package under test, installed or not, and
+    return its stdout."""
     src = str(Path(parbuck.__file__).parents[1])
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     result = subprocess.run(
-        [sys.executable, "-c", textwrap.dedent(code), *args],
+        [sys.executable, *flags, "-c", textwrap.dedent(code), *args],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
     assert result.returncode == 0, result.stderr
     return result.stdout
 
 
-def _loaded_by_command(*argv):
-    """Run `python -m parbuck.cli <argv>` in a new interpreter, check that it
-    exits 0 and return the names of the modules it loaded."""
+def _loaded_by_command(*argv, flags=()):
+    """Run `python -m parbuck.cli <argv>` in a new interpreter, started with
+    the interpreter flags given, check that it exits 0 and return the names
+    of the modules it loaded."""
     return _fresh_interpreter("""
         import runpy, sys
         try:
@@ -72,7 +79,7 @@ def _loaded_by_command(*argv):
         except SystemExit as exc:
             assert exc.code == 0, exc.code
         print(*sorted(sys.modules))
-    """, *argv).splitlines()[-1].split()
+    """, *argv, flags=flags).splitlines()[-1].split()
 
 
 def test_all_lists_every_export():
@@ -131,19 +138,22 @@ def test_each_module_parses_as_the_oldest_supported_python(source):
 def test_loading_a_scenario_loads_no_kernel(tmp_path):
     """`import parbuck` and load_scenario, a benchmark's set-up, leave the
     kernel, the readable control law, the metrics, the CSV and plotting code
-    and the decimal module unloaded."""
+    and the decimal module unloaded; under -S, importlib.resources too,
+    which only bundled_scenario_text needs."""
     scn = tmp_path / "load_step.scn"
     scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
-    loaded = _fresh_interpreter("""
-        import sys
-        import parbuck
-        from parbuck.scenario_io import load_scenario
-        load_scenario(sys.argv[1])
-        print(*sorted(sys.modules))
-    """, str(scn)).split()
-    assert "parbuck.scenario_io" in loaded
-    unneeded = (*RUN_PIPELINE, "parbuck.control", "parbuck.plotting", "decimal")
-    assert [name for name in unneeded if name in loaded] == []
+    for flags in START_UP_FLAGS:
+        loaded = _fresh_interpreter("""
+            import sys
+            import parbuck
+            from parbuck.scenario_io import load_scenario
+            load_scenario(sys.argv[1])
+            print(*sorted(sys.modules))
+        """, str(scn), flags=flags).split()
+        assert "parbuck.scenario_io" in loaded
+        unneeded = (*RUN_PIPELINE, "parbuck.control", "parbuck.plotting", "decimal")
+        assert [name for name in unneeded if name in loaded] == []
+    assert "importlib.resources" not in loaded
 
 
 def test_a_run_loads_neither_decimal_nor_plotting(tmp_path):
@@ -152,11 +162,13 @@ def test_a_run_loads_neither_decimal_nor_plotting(tmp_path):
     plotting code nor the readable control law."""
     scn = tmp_path / "load_step.scn"
     scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
-    loaded = _loaded_by_command("run", str(scn), "-o", str(tmp_path / "trace.csv"))
-    assert (tmp_path / "trace.csv").is_file()
-    assert "parbuck.sim" in loaded and "parbuck.metrics" in loaded
-    unneeded = ("decimal", "parbuck.plotting", "parbuck.control")
-    assert [name for name in unneeded if name in loaded] == []
+    for flags in START_UP_FLAGS:
+        csv = tmp_path / f"trace{len(flags)}.csv"
+        loaded = _loaded_by_command("run", str(scn), "-o", str(csv), flags=flags)
+        assert csv.is_file()
+        assert "parbuck.sim" in loaded and "parbuck.metrics" in loaded
+        unneeded = ("decimal", "parbuck.plotting", "parbuck.control")
+        assert [name for name in unneeded if name in loaded] == []
 
 
 @pytest.mark.parametrize("command, loads", [
@@ -170,11 +182,12 @@ def test_validate_and_plot_load_no_run_pipeline(command, loads, tmp_path):
     scn.write_text(parbuck.bundled_scenario_text("load_step"), encoding="utf-8")
     csv.write_text(",".join(parbuck.CSV_COLUMNS) + "\n", encoding="utf-8")
     args = [scn] if command == "validate" else [csv, "-o", tmp_path / "trace.gp"]
-    loaded = _loaded_by_command(command, *map(str, args))
-    assert loads in loaded
-    unneeded = (*RUN_PIPELINE, "parbuck.control", "decimal")
-    assert [name for name in unneeded if name in loaded] == []
-    assert command == "plot" or "parbuck.plotting" not in loaded
+    for flags in START_UP_FLAGS:
+        loaded = _loaded_by_command(command, *map(str, args), flags=flags)
+        assert loads in loaded
+        unneeded = (*RUN_PIPELINE, "parbuck.control", "decimal")
+        assert [name for name in unneeded if name in loaded] == []
+        assert command == "plot" or "parbuck.plotting" not in loaded
 
 
 @pytest.mark.parametrize("module", ["sim.py", "modal.py"])

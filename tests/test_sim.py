@@ -126,7 +126,7 @@ def _kernel_cases():
         else:
             state = identities.random_state(rng, p1, p2, vref)
         if k % 4 == 0:
-            state = replace(state, d2=float(k % 8 == 0))
+            state = state._replace(d2=float(k % 8 == 0))
         scn = Scenario(p1, p2, gains, vref, (LoadStep(0.0, R),), dt=(1e-6, 1e-5, 1e-4)[k % 3])
         yield scn, state
         if k % 4 == 2:
@@ -367,6 +367,54 @@ def test_modal_basis_refuses_what_it_cannot_certify(a, p):
     assert modal.modal_basis(a, p) is None
 
 
+@pytest.mark.parametrize("gap", [1e-6, 1e-8, 1e-10, 1e-12])
+def test_modal_basis_refuses_a_basis_that_fails_its_inverse_check(gap, monkeypatch):
+    """Voltage poles ±i and sharing poles ±i·sqrt(1 + gap), coupled: the
+    voltage plane's eigenvector nearly lies in the sharing plane, so V·W
+    misses I by more than 1e-12 for gaps of 1e-6 to 1e-10, although W was
+    found, and modal_basis returns None. At a gap of 1e-12 the basis passes."""
+    inverses, solve = [], modal._solve
+
+    def spy(a, b):
+        inverses.append(solve(a, b))
+        return inverses[-1]
+
+    monkeypatch.setattr(modal, "_solve", spy)
+    a = [[0.0, 1.0, 0.0, 0.0], [-1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0],
+         [0.0, 1.0, -(1.0 + gap), 0.0]]
+    got = modal.modal_basis(a, _UNIT)
+    assert len(inverses) == 2 and None not in inverses  # P^-1, then W
+    assert (got is None) == (gap > 1e-12)
+
+
+def test_certify_refuses_a_singular_fixed_point_system(step_scenario, monkeypatch):
+    """When I - M, whose solution is the interior map's fixed point, is
+    singular, certify returns None; the same call with the system solved
+    certifies the bundled pair at 10 ohm."""
+    args = []
+    certify = modal.certify
+
+    def capture(*call):
+        args.append(call)
+        return certify(*call)
+
+    monkeypatch.setattr(modal, "certify", capture)
+    assert _compile(step_scenario)(10.0)[2] is not None
+    # modal_basis inverts P and V, each against the identity; the fixed
+    # point's system is the one other call.
+    systems, solve = [], modal._solve
+
+    def singular_system(a, b):
+        if b is modal._IDENTITY:
+            return solve(a, b)
+        systems.append(b)
+        return None
+
+    monkeypatch.setattr(modal, "_solve", singular_system)
+    assert certify(*args[0]) is None
+    assert len(systems) == 1
+
+
 def _state_at(jump, z):
     """The absolute state whose modal coordinates about the jump's fixed
     point are z."""
@@ -572,7 +620,7 @@ def test_bundled_load_step_jumps_almost_every_step(step_scenario, constant_scena
         assert (jump is None) == (every < MIN_JUMP)
     dense = replace(step_scenario, t_end=0.001, record_every=1)
     start = dense.initial_state
-    off = replace(dense, initial_state=replace(start, Vo=start.Vo * 0.999))
+    off = replace(dense, initial_state=start._replace(Vo=start.Vo * 0.999))
     assert step_count(dense) == 1000
     assert _count_steps(dense)[:3] == (1001, 1, 0)
     assert _count_steps(off)[:3] == (1001, 1000, 0)
@@ -1257,9 +1305,19 @@ def test_initial_current_below_ccm_tolerance_is_rejected(constant_scenario, name
     """A run from such a state would raise CcmViolationError at its first
     step, so no Scenario holds one; -CCM_TOL itself is a valid start."""
     start = constant_scenario.initial_state
-    replace(constant_scenario, initial_state=replace(start, **{name: -CCM_TOL}))
+    replace(constant_scenario, initial_state=start._replace(**{name: -CCM_TOL}))
     with pytest.raises(ParameterError, match=f"^initial {name} must not be below -CCM_TOL"):
-        replace(constant_scenario, initial_state=replace(start, **{name: -2e-9}))
+        replace(constant_scenario, initial_state=start._replace(**{name: -2e-9}))
+
+
+def test_initial_state_is_a_plant_state_not_a_tuple(constant_scenario):
+    """A PlantState unpacks and compares as the plain tuple of its items, but
+    a Scenario takes only a PlantState as its start."""
+    start = constant_scenario.initial_state
+    iL1, iL2, Vo, d2 = start
+    assert start == tuple(start) == (iL1, iL2, Vo, d2)
+    with pytest.raises(ParameterError, match="^initial_state must be a PlantState, got "):
+        replace(constant_scenario, initial_state=tuple(start))
 
 
 @pytest.mark.parametrize("schedule", [
@@ -1304,7 +1362,8 @@ def test_scenario_from_arbitrary_fields_raises_only_parbuck_errors(constant_scen
     def part(kind, good):
         if data.draw(st.booleans()):
             return data.draw(_JUNK)
-        return kind(**{f.name: value(getattr(good, f.name)) for f in fields(kind)})
+        names = kind._fields if kind is PlantState else [f.name for f in fields(kind)]
+        return kind(**{name: value(getattr(good, name)) for name in names})
 
     base = constant_scenario
     try:
