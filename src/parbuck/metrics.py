@@ -25,15 +25,19 @@ from .errors import ParbuckError
 from .sim import Stretch, TraceRecord
 
 _ROW = Struct("3d")  # t, e and e2 of one record in the steady-state window
+_BAND = 0.02  # relative voltage band, |Vo - Vref|/Vref
+_SHARE = 1e-3  # bound on the per-unit sharing error |e2|
+_LYAP_TOL = 1e-9  # rise in a loop energy that counts as a violation
 
 
 class RunMetrics(NamedTuple):
     """Summary numbers extracted from one trace.
 
-    Times are absolute trace times except recovery_time, which is the delay
-    from the last load event until the voltage re-enters (and keeps) its
-    band. Fields are None where the quantity does not exist for the trace
-    (never settled, or no load event).
+    The voltage settles inside the 2% band |Vo - Vref|/Vref < 0.02, and the
+    sharing error inside |e2| < 1e-3. Times are absolute trace times except
+    recovery_time, which is the delay from the last load event until the
+    voltage re-enters (and keeps) its band. Fields are None where the
+    quantity does not exist for the trace (never settled, or no load event).
     """
 
     settle_time_v: float | None
@@ -45,13 +49,7 @@ class RunMetrics(NamedTuple):
     max_duty_saturation_time: float
 
 
-def compute_metrics(
-    trace: Iterable[TraceRecord | Stretch],
-    Vref: float,
-    band: float = 0.02,
-    share_threshold: float = 1e-3,
-    lyap_tol: float = 1e-9,
-) -> RunMetrics:
+def compute_metrics(trace: Iterable[TraceRecord | Stretch], Vref: float) -> RunMetrics:
     """Reduce a time-sorted trace to RunMetrics in one pass.
 
     trace may be any iterable, a generator included, of records and
@@ -60,10 +58,10 @@ def compute_metrics(
     later, distinct times. Each record is dropped once seen, except that its
     t, e and e2 stay as a 24-byte row while it may fall in the final tenth
     of the time span; a Stretch's rows are appended at once, and rows are
-    pruned after each 1,024 or more. band is the relative voltage tolerance
-    (|Vo - Vref|/Vref), and share_threshold the absolute bound on the
-    per-unit sharing error. A Vref or a time that is not finite, or a Vref
-    <= 0, raises ParbuckError.
+    pruned after each 1,024 or more. The voltage band is 2% of Vref, the
+    sharing bound 1e-3, and a pair violates when a loop energy rises by more
+    than 1e-9. A Vref or a time that is not finite, or a Vref <= 0, raises
+    ParbuckError.
     """
     if not 0.0 < Vref < inf:  # also rejects a nan Vref
         raise ParbuckError(f"Vref must be positive and finite, got {Vref!r}")
@@ -104,19 +102,19 @@ def compute_metrics(
                 raise ParbuckError(f"trace must be time-sorted: t={t!r} follows t={prev_t!r}")
             if R != prev_R:
                 last_event_t = t
-            if not (prev_t < 0.0 or t == prev_t or prev_sat or sat):
+            if not (t == prev_t or prev_sat or sat):
                 pairs += 1
-                if V1 - prev_V1 > lyap_tol or V2 - prev_V2 > lyap_tol:
+                if V1 - prev_V1 > _LYAP_TOL or V2 - prev_V2 > _LYAP_TOL:
                     violations += 1
         prev_t, prev_R, prev_V1, prev_V2, prev_sat = t, R, V1, V2, sat
 
-        if abs(Vo - Vref) / Vref < band:
+        if abs(Vo - Vref) / Vref < _BAND:
             if settle_v is None:
                 settle_v = t
         else:
             settle_v = None
             last_outside_v = t
-        if abs(e2) < share_threshold:
+        if abs(e2) < _SHARE:
             if settle_share is None:
                 settle_share = t
         else:
@@ -131,21 +129,16 @@ def compute_metrics(
 
         rows += pack(t, e, e2)
         if times:
-            # The Stretch's other k times (k may be 0): the same fields as its
-            # first, each at a later, distinct time, so each is reduced as
-            # that one was.
+            # The Stretch's other times: the same fields as its first, each
+            # at a later, distinct time, so each is reduced as that one was;
+            # no pair inside a Stretch changes a loop energy.
             # (Only a nan load, unequal to itself, would make each an event;
             # an event inside a Stretch moves no metric, so none is noted.)
-            k = len(times) - 1
             t = prev_t = times[-1]
             if sat:
                 longest = max(longest, t - sat_start)
             else:
-                # A pair counts from a nonnegative time on.
-                paired = k - bisect_left(times, 0.0, 0, k)
-                pairs += paired
-                if V1 - V1 > lyap_tol or V2 - V2 > lyap_tol:
-                    violations += paired
+                pairs += len(times) - 1
             if settle_v is None:  # the first time was outside the band
                 last_outside_v = t
             rows += b"".join(map(pack, times[1:], repeat(e), repeat(e2)))
@@ -176,7 +169,7 @@ def compute_metrics(
     recovery = None
     if last_event_t is not None and settle_v is not None:
         if last_outside_v is None or last_outside_v < last_event_t:
-            recovery = last_event_t - last_event_t
+            recovery = 0.0
         else:
             recovery = settle_v - last_event_t
 

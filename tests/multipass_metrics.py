@@ -9,7 +9,7 @@ code with the function it checks.
 
 from __future__ import annotations
 
-from math import fsum
+from math import fsum, inf
 
 from parbuck import ParbuckError, RunMetrics, TraceRecord
 
@@ -37,18 +37,14 @@ def _settle_time(trace: list[TraceRecord], inside) -> float | None:
     return trace[last_outside + 1].t
 
 
-def violation_fraction(
-    trace: list[TraceRecord],
-    lyap_tol: float = 1e-9,
-    t_start: float = 0.0,
-) -> float:
+def violation_fraction(trace: list[TraceRecord], t_start: float = -inf) -> float:
     """Fraction of unsaturated sample pairs where a loop energy grew.
 
     Pairs are consecutive records with t >= t_start, neither record
     saturated, spanning nonzero time (load events duplicate a timestamp to
     show both resistances; those pairs are re-evaluations, not evolution).
-    A pair counts as a violation when V1 or V2 increased by more than
-    lyap_tol. Returns 0.0 when no pair qualifies.
+    A pair counts as a violation when V1 or V2 increased by more than 1e-9.
+    Returns 0.0 when no pair qualifies.
     """
     violations = 0
     total = 0
@@ -56,27 +52,21 @@ def violation_fraction(
         if a.t < t_start or b.t == a.t or a.sat1 or a.sat2 or b.sat1 or b.sat2:
             continue
         total += 1
-        if b.V1_lyap - a.V1_lyap > lyap_tol or b.V2_lyap - a.V2_lyap > lyap_tol:
+        if b.V1_lyap - a.V1_lyap > 1e-9 or b.V2_lyap - a.V2_lyap > 1e-9:
             violations += 1
     return violations / total if total else 0.0
 
 
-def multipass_metrics(
-    trace: list[TraceRecord],
-    Vref: float,
-    band: float = 0.02,
-    share_threshold: float = 1e-3,
-    lyap_tol: float = 1e-9,
-) -> RunMetrics:
-    """Reduce a time-sorted trace to RunMetrics.
-
-    band is the relative voltage tolerance (|Vo - Vref|/Vref), and
-    share_threshold the absolute bound on the per-unit sharing error.
-    """
+def multipass_metrics(trace: list[TraceRecord], Vref: float) -> RunMetrics:
+    """Reduce a time-sorted trace to RunMetrics: the voltage band is
+    |Vo - Vref|/Vref < 0.02 and the sharing bound |e2| < 1e-3."""
     _check_trace(trace)
 
-    settle_v = _settle_time(trace, lambda r: abs(r.Vo - Vref) / Vref < band)
-    settle_share = _settle_time(trace, lambda r: abs(r.e2) < share_threshold)
+    def in_band(r):
+        return abs(r.Vo - Vref) / Vref < 0.02
+
+    settle_v = _settle_time(trace, in_band)
+    settle_share = _settle_time(trace, lambda r: abs(r.e2) < 1e-3)
 
     t0, t_last = trace[0].t, trace[-1].t
     window_start = t_last - 0.1 * (t_last - t0)
@@ -91,7 +81,7 @@ def multipass_metrics(
             last_event_t = b.t
     if last_event_t is not None:
         after = [r for r in trace if r.t >= last_event_t]
-        settled = _settle_time(after, lambda r: abs(r.Vo - Vref) / Vref < band)
+        settled = _settle_time(after, in_band)
         recovery = None if settled is None else settled - last_event_t
 
     longest = 0.0
@@ -110,6 +100,6 @@ def multipass_metrics(
         ss_voltage_error=ss_voltage,
         ss_sharing_error=ss_sharing,
         recovery_time=recovery,
-        lyap_violation_fraction=violation_fraction(trace, lyap_tol),
+        lyap_violation_fraction=violation_fraction(trace),
         max_duty_saturation_time=longest,
     )
