@@ -60,7 +60,7 @@ class Stretch(NamedTuple):
     """Records at rest: one TraceRecord at each time, all with one body.
 
     times holds 1 to STRETCH_RECORDS strictly increasing times of one load
-    segment, none of them its end; body holds the 13 fields after t, the
+    segment, none of them its end; body holds the 13 values after t, the
     very objects that each of these records holds.
     """
 
@@ -113,7 +113,8 @@ class _Affine:
         return _Affine((a0 / k, a1 / k, a2 / k, a3 / k, a4 / k))
 
     def __call__(self, u0, u1, u2, u3):
-        """This form's value at the deviation (u0, u1, u2, u3)."""
+        """This form's value at the deviation (u0, u1, u2, u3), as Jump
+        applies T^n."""
         c0, c1, c2, c3, c4 = self.c
         return c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4
 
@@ -136,7 +137,6 @@ class _Affine:
 _DEVIATION = tuple(
     _Affine(tuple(float(i == j) for j in range(5))) for i in range(4)
 )
-_LOW, _INTERIOR, _HIGH = 0, 1, 2  # regime of the d1 clamp at one RK4 stage
 
 
 def _rk4(h, u, slope):
@@ -165,30 +165,26 @@ def _compile(scenario: Scenario):
     The control law is written once: controller_step's expression chain,
     split at the d1 clamp, its one non-affine operation, into voltage_law
     (raw d1, e, i_tilde and the plant's diL2) and sharing_law (d2_dot, e2,
-    v_tilde for the duty the plant sees and the plant's dVo). record runs
-    it over floats with the clamp between the halves, so it reproduces
-    controller_step bit for bit.
+    v_tilde for the duty the plant sees and the plant's dVo). record and
+    slope run it over floats with the clamp between the halves, as
+    controller_step does, and slope adds plant_derivatives' diL1 row.
 
-    At a fixed load, with d1 either interior or clamped at one of its
-    bounds, the closed loop is affine in the state. step_at runs the chain
-    over affine forms about x* = equilibrium(p1, p2, R, Vref), giving the
-    field of each d1 regime (a clamped one's when a stage first meets it):
-    plant_derivatives' diL1 row at that regime's d1, and the diL2, dVo and
-    d2_dot rows that the two laws compute. One RK4 routine, _rk4,
-    runs over forms to compose four interior stages of length dt into each
-    stage's raw-d1 guard and a 4x5 state map in u = x - x*, and over floats
-    to run every step that map cannot take. A full step whose four guards
-    lie inside the duty bounds applies the map. Every other step, a full
-    step that meets the clamp or a shortened step (one per load event off
-    the dt grid), runs its four stages, each on the field of the d1 regime
-    its input meets. About x* the constant terms come only from the field's
+    At a fixed load with d1 interior the closed loop is affine in the
+    state. step_at runs the chain over affine forms about x* =
+    equilibrium(p1, p2, R, Vref), giving the interior field, and one RK4
+    routine, _rk4, runs over those forms to compose four stages of length
+    dt into each stage's raw-d1 guard and a 4x5 state map in u = x - x*.
+    A full step whose four guards lie inside the duty bounds applies the
+    map. About x* the map's constant terms come only from the field's
     rounding residual at x*, so a step from the analytic fixed point leaves
     it in place (bit for bit on the bundled scenarios, for dt up to 1e-3).
-    Steps equal the scalar RK4 of controller_step and plant_derivatives to
-    rounding, not bit for bit. step writes its four guards and the map's
-    sums out term by term, since it runs once per step taken; the staged
-    steps off the map and the jumps, which run near load events and at
-    records, call the forms, which sum in the same order.
+    Every other step, a full step that meets the clamp or a shortened step
+    (one per load event off the dt grid), runs _rk4 over floats with slope.
+    Steps on the map equal the scalar RK4 of controller_step and
+    plant_derivatives to rounding; every other step equals it bit for bit.
+    step writes its four guards and the map's sums out term by term, since
+    it runs once per step taken; the jumps call the forms, which sum in the
+    same order.
 
     n all-interior steps with d2 unclamped are the interior map's n-th
     power. When record_every >= MIN_JUMP, step_at certifies that region for
@@ -248,21 +244,11 @@ def _compile(scenario: Scenario):
         s0, s1, s2, s3 = star
         x = iL1, iL2, Vo, d2 = [u + c for u, c in zip(_DEVIATION, star)]
         raw_d1, e, i_tilde, diL2 = voltage_law(R, *x)
-        # The field of each d1 regime, low first, built on first use. laws
-        # keeps each regime's whole sharing law: the interior one's e2 and
-        # v_tilde are the certificate's sharing coordinates.
-        fields, laws = [None] * 3, [None] * 3
+        d2_dot, e2, v_tilde, dVo = sharing_law(R, *x, raw_d1)
+        rows = ((raw_d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot)
 
-        def field(regime):
-            if fields[regime] is None:
-                d1 = (duty_min, raw_d1, duty_max)[regime]
-                d2_dot, _, _, dVo = laws[regime] = sharing_law(R, *x, d1)
-                fields[regime] = ((d1 * Vin1 - Vo) / L1, diL2, dVo, d2_dot)
-            return fields[regime]
-
-        # The interior regime's four stages of length dt, composed into each
+        # The interior field's four stages of length dt, composed into each
         # stage's raw-d1 guard and the 4x5 state map in u.
-        rows = field(_INTERIOR)
         guards = []
 
         def interior_slope(inputs):
@@ -275,11 +261,12 @@ def _compile(scenario: Scenario):
         (a0, a1, a2, a3, a4), (b0, b1, b2, b3, b4), \
             (c0, c1, c2, c3, c4), (q0, q1, q2, q3, q4) = interior_map
 
-        def slope(v):
-            """The closed loop's field at deviation v, in the d1 regime there."""
-            d1 = raw_d1(*v)
-            f, g, p, q = field(_LOW if duty_min > d1 else _HIGH if duty_max < d1 else _INTERIOR)
-            return f(*v), g(*v), p(*v), q(*v)
+        def slope(y):
+            """The closed loop's field at the state y, d1 clamped."""
+            d1, _, _, diL2 = voltage_law(R, *y)
+            d1 = duty_min if duty_min > d1 else duty_max if duty_max < d1 else d1
+            d2_dot, _, _, dVo = sharing_law(R, *y, d1)
+            return (d1 * Vin1 - y[2]) / L1, diL2, dVo, d2_dot
 
         jump = None
         if every >= MIN_JUMP:
@@ -306,7 +293,7 @@ def _compile(scenario: Scenario):
             # bounds, so a larger cadence needs no larger certificate.
             jump = certify(
                 [row.c[:4] for row in rows],
-                [form.c[:4] for form in (e, i_tilde, *laws[_INTERIOR][1:3])],
+                [form.c[:4] for form in (e, i_tilde, e2, v_tilde)],
                 interior_map, star, halfspaces, min(every, MAX_STEPS),
             )
 
@@ -327,9 +314,7 @@ def _compile(scenario: Scenario):
                 Vo = s2 + (c0 * u0 + c1 * u1 + c2 * u2 + c3 * u3 + c4)
                 d2 = s3 + (q0 * u0 + q1 * u1 + q2 * u2 + q3 * u3 + q4)
             else:
-                # Each stage on the field of the d1 regime its input meets.
-                v0, v1, v2, v3 = _rk4(h, (u0, u1, u2, u3), slope)
-                iL1, iL2, Vo, d2 = s0 + v0, s1 + v1, s2 + v2, s3 + v3
+                iL1, iL2, Vo, d2 = _rk4(h, (iL1, iL2, Vo, d2), slope)
             # A finite sum has finite terms; a sum of finite terms that
             # overflows names none of them and raises nothing.
             if not isfinite(iL1 + iL2 + Vo + d2):

@@ -2,12 +2,12 @@
 
 rk4_update is the generic classical Runge-Kutta scheme over a tuple state;
 it is the oracle that the simulator's compiled closed-loop kernel must
-reproduce to rounding. The analytic oracle is the scalar exponential
-dx/dt = -rate*x, whose exact solution is known; the closed-loop check
-measures Richardson ratios on a smooth (never saturated) trajectory of the
-full plant+controller system, started from a small voltage perturbation so
-the fast transient is still alive at the final time and truncation error
-stays above roundoff.
+reproduce, to rounding on its interior map and bit for bit off it. The
+analytic oracle is the scalar exponential dx/dt = -rate*x, whose exact
+solution is known; the closed-loop check measures Richardson ratios on a
+smooth (never saturated) trajectory of the full plant+controller system,
+started from a small voltage perturbation so the fast transient is still
+alive at the final time and truncation error stays above roundoff.
 """
 
 import math

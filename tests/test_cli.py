@@ -226,7 +226,7 @@ max_duty_saturation_time  : 0.0
 settle_time_v             : 0.0
 settle_time_share         : n/a
 ss_voltage_error          : 0.0
-ss_sharing_error          : 0.02832912668289011
+ss_sharing_error          : 0.028329126682891916
 recovery_time             : 0.0
 lyap_violation_fraction   : 0.2586293146573287
 max_duty_saturation_time  : 0.0
@@ -234,8 +234,8 @@ max_duty_saturation_time  : 0.0
     ("load_step", ("--record-every", "1")): """\
 settle_time_v             : 0.050047
 settle_time_share         : n/a
-ss_voltage_error          : 8.881784197001252e-16
-ss_sharing_error          : 0.028407066167130738
+ss_voltage_error          : 0.0
+ss_sharing_error          : 0.028407066167293233
 recovery_time             : 4.699999999999843e-05
 lyap_violation_fraction   : 0.2579428594293946
 max_duty_saturation_time  : 3.500000000000031e-05
